@@ -51,7 +51,7 @@ from .neighbors import (
     nearest_neighbor,
 )
 from .normals import DEFAULT_NORMAL_K, estimate_normals, normal_vectors
-from .ply import PlyParseError, load_point_cloud, read_ply, write_ply
+from .ply import PlyParseError, read_ply, write_ply
 
 __version__ = "0.1.0"
 
@@ -82,7 +82,6 @@ __all__ = [
     "infer_bit_depth",
     "k_neighborhood",
     "largest_diagonal",
-    "load_point_cloud",
     "mnn",
     "nearest_neighbor",
     "normal_vectors",

@@ -15,7 +15,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .cloud import PointCloud, infer_bit_depth
 from .metrics import (
@@ -199,7 +198,24 @@ def plcc(x, y) -> float:
         raise ValueError("correlation needs at least 2 samples")
     if np.ptp(x) == 0.0 or np.ptp(y) == 0.0:
         raise ValueError("correlation undefined for a constant sequence")
-    return float(stats.pearsonr(x, y).statistic)
+    r = float(np.clip(np.dot(_unit_deviations(x), _unit_deviations(y)), -1.0, 1.0))
+    return float(np.round(r)) if len(x) == 2 else r
+
+
+def _unit_deviations(v: np.ndarray) -> np.ndarray:
+    """``v`` minus its mean, scaled to unit Euclidean norm with the same
+    rounding as ``scipy.stats.pearsonr`` (max-abs prescaling of the norm)."""
+    d = v - v.mean()
+    peak = np.abs(d).max()
+    s = d / peak
+    return d / (peak * np.sqrt(np.sum(s * s)))
+
+
+def _average_ranks(v: np.ndarray) -> np.ndarray:
+    """1-based ranks; tied values share the mean of their positions."""
+    _, inverse, counts = np.unique(v, return_inverse=True, return_counts=True)
+    first = np.cumsum(counts) - counts + 1
+    return (first + (counts - 1) / 2.0)[inverse]
 
 
 def srocc(x, y) -> float:
@@ -218,13 +234,15 @@ def srocc(x, y) -> float:
         raise ValueError("correlation needs at least 2 samples")
     if np.ptp(x) == 0.0 or np.ptp(y) == 0.0:
         raise ValueError("rank correlation undefined for a constant sequence")
-    rx = stats.rankdata(x)
-    ry = stats.rankdata(y)
+    if np.isnan(x).any() or np.isnan(y).any():
+        return float("nan")
+    rx = _average_ranks(x)
+    ry = _average_ranks(y)
     if np.unique(rx).size == rx.size and np.unique(ry).size == ry.size:
         d = rx - ry
         n = len(x)
         return float(1.0 - 6.0 * float(d @ d) / (n * (n * n - 1.0)))
-    return float(stats.spearmanr(x, y).statistic)
+    return float(np.corrcoef(rx, ry)[1, 0])
 
 
 def read_manifest(path) -> list[StimulusRecord]:

@@ -14,7 +14,6 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .cloud import PointCloud, precision_peak
 from .neighbors import NeighborIndex
@@ -232,7 +231,7 @@ def nn_squared_errors(a: PointCloud, b: PointCloud) -> tuple[np.ndarray, np.ndar
     clouds yield all-zero errors."""
     _require_points(a, "source")
     _require_points(b, "target")
-    dists, idx = cKDTree(b.points).query(a.points, k=1, workers=-1)
+    idx, dists = NeighborIndex(b).query(a.points)
     return dists * dists, idx
 
 

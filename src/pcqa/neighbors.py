@@ -1,9 +1,11 @@
 """Exact k-nearest-neighbor search over an immutable point cloud.
 
-Backed by ``scipy.spatial.cKDTree``; all queries are exact, so results match
-an exhaustive scan up to the ordering of equidistant neighbors.  Single
-nearest-neighbor lookups additionally break distance ties toward the lowest
-point index, which keeps downstream metrics deterministic across platforms.
+Backed by ``scipy.spatial.cKDTree``, which is imported when the first index
+is built, so importing pcqa loads numpy only.  All queries are exact, so
+results match an exhaustive scan up to the ordering of equidistant
+neighbors.  Single nearest-neighbor lookups additionally break distance ties
+toward the lowest point index, which keeps downstream metrics deterministic
+across platforms.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .cloud import PointCloud
 
@@ -38,6 +39,8 @@ class NeighborIndex:
     def __init__(self, cloud: PointCloud):
         if len(cloud) == 0:
             raise ValueError("cannot index an empty cloud")
+        from scipy.spatial import cKDTree
+
         self.cloud = cloud
         self._tree = cKDTree(cloud.points)
 
@@ -45,10 +48,11 @@ class NeighborIndex:
         return len(self.cloud)
 
     def query(self, q, k: int = 1) -> tuple[np.ndarray, np.ndarray]:
-        """Indices and distances of the k points nearest to ``q`` (ascending)."""
+        """Indices and distances of the k points nearest to ``q`` (ascending);
+        ``q`` is one point or an (M, 3) array of them."""
         if not 1 <= k <= len(self):
             raise ValueError(f"k must be in [1, {len(self)}], got {k}")
-        dists, idx = self._tree.query(np.asarray(q, dtype=np.float64), k=k)
+        dists, idx = self._tree.query(np.asarray(q, dtype=np.float64), k=k, workers=-1)
         return np.atleast_1d(idx), np.atleast_1d(dists)
 
     def self_excluded_neighbors(self, k: int) -> tuple[np.ndarray, np.ndarray]:

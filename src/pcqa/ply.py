@@ -38,6 +38,8 @@ _SCALAR_TYPES = {
     "int32": ("<i4", 4),
 }
 
+_ASCII_BLOCK_ROWS = 1 << 16  # rows parsed or formatted per call, bounding token lists
+
 
 class PlyParseError(ValueError):
     """Malformed or unsupported PLY content, with the offending position.
@@ -155,7 +157,8 @@ def _vertex_element(elements: list[_Element]) -> _Element:
     raise PlyParseError("no vertex element in header")
 
 
-def _vertex_columns(vertex: _Element) -> tuple[dict[str, int], bool]:
+def _wanted_columns(vertex: _Element) -> list[int]:
+    """Property positions of x, y, z, then nx, ny, nz when all three exist."""
     index = {p.name: i for i, p in enumerate(vertex.properties)}
     missing = [c for c in ("x", "y", "z") if c not in index]
     if missing:
@@ -164,8 +167,10 @@ def _vertex_columns(vertex: _Element) -> tuple[dict[str, int], bool]:
             + ", ".join(missing),
             line=vertex.line,
         )
-    has_normals = all(c in index for c in ("nx", "ny", "nz"))
-    return index, has_normals
+    names = ["x", "y", "z"]
+    if all(c in index for c in ("nx", "ny", "nz")):
+        names += ["nx", "ny", "nz"]
+    return [index[name] for name in names]
 
 
 def _renormalize(normals: np.ndarray) -> np.ndarray:
@@ -178,9 +183,31 @@ def _renormalize(normals: np.ndarray) -> np.ndarray:
     return normals / norms[:, None]
 
 
-def _read_ascii_body(stream, elements, vertex, header_lines) -> tuple[np.ndarray, np.ndarray | None]:
-    text = stream.read().decode("ascii", errors="replace")
-    lines = text.splitlines()
+def _ascii_vertices_by_block(lines: list[str], vertex: _Element, cols: list[int]) -> np.ndarray | None:
+    """The wanted vertex columns, parsed by numpy one block of rows at a time.
+
+    None unless the body is exactly ``vertex.count`` non-empty rows with one
+    number per property each; the per-line parser then handles the file and
+    names the offending line.
+    """
+    ncols = len(vertex.properties)
+    widths = [n for n in map(len, map(str.split, lines)) if n]
+    if widths != [ncols] * vertex.count:
+        return None
+    rows = [line for line in lines if line.strip()]
+    data = np.empty((vertex.count, len(cols)), dtype=np.float64)
+    for start in range(0, vertex.count, _ASCII_BLOCK_ROWS):
+        block = rows[start:start + _ASCII_BLOCK_ROWS]
+        try:
+            values = np.array(" ".join(block).split(), dtype=np.float64)
+        except ValueError:
+            return None
+        data[start:start + len(block)] = values.reshape(len(block), ncols)[:, cols]
+    return data
+
+
+def _ascii_vertices_by_line(lines: list[str], elements, header_lines: int, cols) -> np.ndarray:
+    """The wanted vertex columns, parsed row by row through every element."""
     cursor = 0  # index into lines
     lineno = header_lines  # last consumed line number
 
@@ -200,17 +227,12 @@ def _read_ascii_body(stream, elements, vertex, header_lines) -> tuple[np.ndarray
             )
         return row
 
-    points = normals = None
     for element in elements:
         ncols = len(element.properties)
         if element.name != "vertex":
             for i in range(element.count):
                 next_row(ncols, f"{element.name} row {i}")
             continue
-        index, has_normals = _vertex_columns(element)
-        cols = [index["x"], index["y"], index["z"]]
-        if has_normals:
-            cols += [index["nx"], index["ny"], index["nz"]]
         data = np.empty((element.count, len(cols)), dtype=np.float64)
         for i in range(element.count):
             row = next_row(ncols, f"vertex {i}")
@@ -221,15 +243,12 @@ def _read_ascii_body(stream, elements, vertex, header_lines) -> tuple[np.ndarray
                 raise PlyParseError(
                     f"non-numeric value {row[c]!r} in vertex {i}", line=lineno
                 ) from None
-        points = data[:, :3]
-        normals = _renormalize(data[:, 3:]) if has_normals else None
-    return points, normals
+    return data
 
 
-def _read_binary_body(stream, elements, vertex) -> tuple[np.ndarray, np.ndarray | None]:
+def _read_binary_body(stream, elements, cols) -> np.ndarray:
     body = stream.read()
     offset = 0
-    points = normals = None
     for element in elements:
         dtype = np.dtype([(p.name, _SCALAR_TYPES[p.ply_type][0]) for p in element.properties])
         nbytes = dtype.itemsize * element.count
@@ -240,16 +259,11 @@ def _read_binary_body(stream, elements, vertex) -> tuple[np.ndarray, np.ndarray 
                 byte=offset,
             )
         if element.name == "vertex":
-            index, has_normals = _vertex_columns(element)
             rows = np.frombuffer(body, dtype=dtype, count=element.count, offset=offset)
-            points = np.column_stack(
-                [rows["x"], rows["y"], rows["z"]]
-            ).astype(np.float64)
-            if has_normals:
-                raw = np.column_stack([rows["nx"], rows["ny"], rows["nz"]]).astype(np.float64)
-                normals = _renormalize(raw)
+            names = [element.properties[c].name for c in cols]
+            data = np.column_stack([rows[name] for name in names]).astype(np.float64)
         offset += nbytes
-    return points, normals
+    return data
 
 
 def read_ply(source, format: str | None = None) -> PointCloud:
@@ -273,17 +287,17 @@ def read_ply(source, format: str | None = None) -> PointCloud:
         if format != fmt:
             raise PlyParseError(f"file is {fmt!r} but {format!r} was requested")
     vertex = _vertex_element(elements)
-    _vertex_columns(vertex)  # validate x/y/z presence before touching the body
+    cols = _wanted_columns(vertex)  # validates x/y/z presence before touching the body
 
     if fmt == ASCII:
-        points, normals = _read_ascii_body(source, elements, vertex, header_lines)
+        lines = source.read().decode("ascii", errors="replace").splitlines()
+        data = _ascii_vertices_by_block(lines, vertex, cols) if len(elements) == 1 else None
+        if data is None:
+            data = _ascii_vertices_by_line(lines, elements, header_lines, cols)
     else:
-        points, normals = _read_binary_body(source, elements, vertex)
-    return PointCloud(points, normals=normals)
-
-
-# convenience alias: loading a point cloud is format-checked PLY reading
-load_point_cloud = read_ply
+        data = _read_binary_body(source, elements, cols)
+    normals = _renormalize(data[:, 3:]) if len(cols) == 6 else None
+    return PointCloud(data[:, :3], normals=normals)
 
 
 def write_ply(cloud: PointCloud, dest, format: str = BINARY_LE) -> None:
@@ -316,9 +330,9 @@ def write_ply(cloud: PointCloud, dest, format: str = BINARY_LE) -> None:
     dest.write(("\n".join(header) + "\n").encode("ascii"))
 
     if format == ASCII:
-        rows = "\n".join(" ".join(repr(float(v)) for v in row) for row in data)
-        if rows:
-            rows += "\n"
-        dest.write(rows.encode("ascii"))
+        row = " ".join(["%r"] * data.shape[1]) + "\n"
+        for start in range(0, len(data), _ASCII_BLOCK_ROWS):
+            block = data[start:start + _ASCII_BLOCK_ROWS]
+            dest.write(((row * len(block)) % tuple(block.ravel().tolist())).encode("ascii"))
     else:
         dest.write(np.ascontiguousarray(data, dtype="<f8").tobytes())

@@ -283,3 +283,37 @@ def test_compare_out_file(tmp_path, pair):
     assert proc.returncode == 0
     assert proc.stdout == ""
     assert json.loads(out.read_text())["error"] == "po2pl"
+
+
+SCIPY_MODULES_AFTER = """
+import sys
+import pcqa
+import pcqa.cli
+try:
+    pcqa.cli.main(sys.argv[1:])
+except SystemExit:
+    pass
+print("scipy.stats" in sys.modules, "scipy.spatial" in sys.modules)
+"""
+
+
+def scipy_loaded_by(*args):
+    """(scipy.stats loaded, scipy.spatial loaded) after ``import pcqa`` and
+    one ``pcqa.cli.main(args)`` call in a fresh interpreter."""
+    proc = subprocess.run(
+        [sys.executable, "-c", SCIPY_MODULES_AFTER, *map(str, args)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    stats, spatial = proc.stdout.splitlines()[-1].split()
+    return stats == "True", spatial == "True"
+
+
+def test_scipy_loads_only_when_a_tree_is_built(tmp_path, pair):
+    ref, _ = pair
+    assert scipy_loaded_by() == (False, False)
+    assert scipy_loaded_by("--help") == (False, False)
+    assert scipy_loaded_by("degrade", "--ref", ref, "--gaussian", 0.5,
+                           "--out", tmp_path / "noisy.ply") == (False, False)
+    assert scipy_loaded_by("resolution", "--ref", ref) == (False, True)

@@ -112,6 +112,62 @@ def test_srocc_tie_handling_matches_hand_computed_average_ranks():
     assert srocc(x, y) == math.sqrt(0.95)
 
 
+def _bits(value) -> bytes:
+    return np.float64(value).tobytes()
+
+
+def _scipy_srocc(x, y) -> float:
+    """srocc computed with scipy: the exact rank-difference form on
+    ``rankdata`` ranks when neither input has ties, ``spearmanr`` otherwise."""
+    from scipy import stats
+
+    rx, ry = stats.rankdata(x), stats.rankdata(y)
+    if np.unique(x).size == x.size and np.unique(y).size == y.size:
+        d = rx - ry
+        n = len(x)
+        return float(1.0 - 6.0 * float(d @ d) / (n * (n * n - 1.0)))
+    return float(stats.spearmanr(x, y).statistic)
+
+
+def _correlation_cases():
+    """(label, x, y, which inputs hold ties) for the scipy comparison."""
+    # two points whose centred, normalised dot product is 0.9999999999999999
+    # before scipy's n == 2 rounding
+    two_x = np.array([20.628651105466968, 19.33947568354349])
+    two_y = np.array([23.20211325221641, 20.5245005857652])
+    yield "two-points", two_x, two_y, ""
+    rng = np.random.default_rng(7)
+    for n in (2, 3, 5, 56, 1000):
+        x = rng.normal(20.0, 5.0, n)
+        noise = rng.normal(0.0, 3.0, n)
+        yield f"random-{n}", x, 0.5 * x + noise, ""
+        yield f"negative-{n}", x, -2.0 * x + noise, ""
+    for n in (5, 56, 1000):
+        x = rng.normal(20.0, 5.0, n)
+        y = 0.5 * x + rng.normal(0.0, 3.0, n)
+        tied_x, tied_y = np.floor(x / 4.0), np.floor(y / 4.0)
+        yield f"ties-x-{n}", tied_x, y, "x"
+        yield f"ties-y-{n}", x, tied_y, "y"
+        yield f"ties-both-{n}", tied_x, tied_y, "xy"
+
+
+@pytest.mark.parametrize("label, x, y, ties", list(_correlation_cases()))
+def test_plcc_and_srocc_match_scipy_bit_for_bit(label, x, y, ties):
+    from scipy import stats
+
+    assert (np.unique(x).size < x.size) == ("x" in ties), label
+    assert (np.unique(y).size < y.size) == ("y" in ties), label
+    assert _bits(plcc(x, y)) == _bits(stats.pearsonr(x, y).statistic)
+    assert _bits(srocc(x, y)) == _bits(_scipy_srocc(x, y))
+    if ties:
+        assert _bits(srocc(x, y)) == _bits(stats.spearmanr(x, y).statistic)
+
+
+def test_correlations_propagate_nan_like_scipy():
+    assert math.isnan(plcc([1.0, math.nan, 3.0], [1.0, 2.0, 4.0]))
+    assert math.isnan(srocc([1.0, math.nan, 3.0], [1.0, 2.0, 4.0]))
+
+
 def test_correlation_input_validation():
     with pytest.raises(ValueError, match="at least 2"):
         plcc([1.0], [1.0])

@@ -3,7 +3,8 @@ import io
 import numpy as np
 import pytest
 
-from pcqa import PlyParseError, PointCloud, load_point_cloud, read_ply, write_ply
+from pcqa import PlyParseError, PointCloud, read_ply, write_ply
+from pcqa import ply
 from pcqa.ply import ASCII, BINARY_LE
 
 
@@ -31,10 +32,6 @@ def test_reads_ascii_from_bytes_path_and_stream(tmp_path):
         assert np.array_equal(cloud.points, expected)
         assert cloud.normals is None
         assert cloud.bit_depth is None
-
-
-def test_load_point_cloud_is_the_reader():
-    assert load_point_cloud is read_ply
 
 
 def test_normals_consumed_when_all_three_present():
@@ -237,3 +234,88 @@ def test_blank_line_in_header_rejected():
 def test_crlf_line_endings_accepted():
     data = SIMPLE.decode().replace("\n", "\r\n").encode()
     assert len(read_ply(data)) == 3
+
+
+# --------------------------------------- ASCII body: numpy blocks vs per line
+
+
+def parse_both_ways(data: bytes):
+    """The wanted vertex columns of an ASCII file from the block-wise numpy
+    parse (None when it declines) and from the per-line parser."""
+    stream = io.BytesIO(data)
+    _, elements, header_lines = ply._parse_header(stream)
+    vertex = ply._vertex_element(elements)
+    cols = ply._wanted_columns(vertex)
+    lines = stream.read().decode("ascii").splitlines()
+    return (
+        ply._ascii_vertices_by_block(lines, vertex, cols),
+        ply._ascii_vertices_by_line(lines, elements, header_lines, cols),
+    )
+
+
+@pytest.mark.parametrize("block_rows", [2, ply._ASCII_BLOCK_ROWS])
+@pytest.mark.parametrize(
+    "data",
+    [
+        ascii_ply(["nan -0 1e-320", "1_000 +1.5 .5", "1e400 -1e400 0"]),
+        SIMPLE.replace(b"\n", b"\r\n") + b"\r\n  \r\n",
+        ascii_ply(
+            ["0 0 1 7 1.25 2.5 -3.75 9", "0.6 0.8 0 8 1e-3 2e3 3 1", "1 0 0 9 -0 5e-324 7 2"],
+            props=("nx", "ny", "nz", "label", "x", "y", "z", "weight"),
+        ),
+    ],
+    ids=["special-tokens", "crlf-trailing-blank", "skipped-columns-normals-first"],
+)
+def test_block_parse_matches_the_per_line_parser_bit_for_bit(monkeypatch, data, block_rows):
+    monkeypatch.setattr(ply, "_ASCII_BLOCK_ROWS", block_rows)
+    by_block, by_line = parse_both_ways(data)
+    assert by_block is not None
+    assert by_block.shape == by_line.shape
+    assert by_block.tobytes() == by_line.tobytes()
+
+
+def test_other_elements_take_the_per_line_parser(monkeypatch):
+    data = (
+        b"ply\nformat ascii 1.0\nelement vertex 2\n"
+        b"property float x\nproperty float y\nproperty float z\n"
+        b"element face 0\nproperty int a\nend_header\n"
+        b"1 2 3\n4 5 6\n"
+    )
+    calls = []
+    monkeypatch.setattr(ply, "_ascii_vertices_by_block", lambda *args: calls.append(args))
+    cloud = read_ply(data)
+    assert calls == []
+    assert np.array_equal(cloud.points, [[1, 2, 3], [4, 5, 6]])
+
+
+def test_read_ply_uses_the_block_parse_for_a_lone_vertex_element(monkeypatch):
+    parse = ply._ascii_vertices_by_block
+    results = []
+
+    def spy(*args):
+        results.append(parse(*args))
+        return results[-1]
+
+    monkeypatch.setattr(ply, "_ascii_vertices_by_block", spy)
+    assert np.array_equal(read_ply(SIMPLE).points, [[0, 0, 0], [1, 0, 0], [0, 1, 0]])
+    assert len(results) == 1 and results[0] is not None
+
+
+@pytest.mark.parametrize("block_rows", [100, ply._ASCII_BLOCK_ROWS])
+def test_ascii_writer_matches_per_value_repr_bytes(monkeypatch, block_rows):
+    monkeypatch.setattr(ply, "_ASCII_BLOCK_ROWS", block_rows)
+    rng = np.random.default_rng(11)
+    pts = rng.normal(0.0, 1e3, (257, 3))
+    normals = rng.normal(size=(257, 3))
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    cloud = PointCloud(pts, normals=normals)
+    out = io.BytesIO()
+    write_ply(cloud, out, format=ASCII)
+    header = (
+        "ply\nformat ascii 1.0\nelement vertex 257\n"
+        + "".join(f"property double {n}\n" for n in ("x", "y", "z", "nx", "ny", "nz"))
+        + "end_header\n"
+    )
+    rows = np.column_stack([cloud.points, cloud.normals])
+    body = "\n".join(" ".join(repr(float(v)) for v in row) for row in rows) + "\n"
+    assert out.getvalue() == (header + body).encode("ascii")
