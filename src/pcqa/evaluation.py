@@ -22,13 +22,9 @@ from .metrics import (
     ErrorKind,
     PeakKind,
     PeakSpec,
+    PreparedCloud,
     ResolutionEstimator,
-    _db,
-    _ensure_normals,
-    _pool,
-    nn_squared_errors,
-    peak_numerator,
-    resolution,
+    score_variants,
 )
 from .normals import DEFAULT_NORMAL_K
 from .ply import read_ply
@@ -287,16 +283,6 @@ def read_manifest(path) -> list[StimulusRecord]:
     return records
 
 
-def _directional_mses(src: PointCloud, dst: PointCloud, want_po2pl: bool) -> dict[ErrorKind, float]:
-    sq, idx = nn_squared_errors(src, dst)
-    out = {ErrorKind.PO2PO: float(sq.mean())}
-    if want_po2pl:
-        errors = src.points - dst.points[idx]
-        proj = np.einsum("ij,ij->i", errors, dst.normals[idx])
-        out[ErrorKind.PO2PL] = float((proj * proj).mean())
-    return out
-
-
 def score_pair(
     ref: PointCloud,
     deg: PointCloud,
@@ -304,41 +290,15 @@ def score_pair(
     *,
     pooling: str = "max",
     normal_k: int = DEFAULT_NORMAL_K,
-    resolver=None,
 ) -> list[float]:
     """Pooled PSNR of one cloud pair for every metric variant.
 
     Computes nearest-neighbor correspondences once per direction and reuses
     them across variants, so results equal per-variant ``metrics.psnr``
-    calls exactly at a fraction of the cost.  ``resolver(estimator, k)``
-    may supply cached resolution values for the reference cloud.
+    calls exactly at a fraction of the cost.
     """
-    want_po2pl = any(kind is ErrorKind.PO2PL for kind, _ in variants)
-    want_apd = any(peak.estimator is ResolutionEstimator.APD_K for _, peak in variants)
-    if want_po2pl or want_apd:
-        ref, _ = _ensure_normals(ref, normal_k)
-    if want_po2pl:
-        deg, _ = _ensure_normals(deg, normal_k)
-
-    mse_ab = _directional_mses(ref, deg, want_po2pl)
-    mse_ba = _directional_mses(deg, ref, want_po2pl)
-
-    cache: dict[tuple[ResolutionEstimator, int | None], float] = {}
-
-    def cached_resolution(estimator: ResolutionEstimator, k: int | None) -> float:
-        key = (estimator, k)
-        if key not in cache:
-            if resolver is not None:
-                cache[key] = resolver(estimator, k)
-            else:
-                cache[key] = resolution(ref, estimator, k, normal_k=normal_k)
-        return cache[key]
-
-    scores = []
-    for kind, peak in variants:
-        _, numerator = peak_numerator(ref, peak, normal_k=normal_k, resolver=cached_resolution)
-        scores.append(_pool(_db(numerator, mse_ab[kind]), _db(numerator, mse_ba[kind]), pooling))
-    return scores
+    ref, deg = PreparedCloud(ref, normal_k), PreparedCloud(deg, normal_k)
+    return [r.psnr_pooled for r in score_variants(ref, deg, variants, pooling=pooling)]
 
 
 def _load_cloud(path: str, stimulus_id: str) -> PointCloud:
@@ -358,10 +318,11 @@ def benchmark_scores(
 ) -> np.ndarray:
     """Objective scores for every stimulus (rows) and metric variant (columns).
 
-    References recurring across stimuli are loaded and prepared once; the
-    reference's resolution estimates are likewise computed once per variant
-    configuration.  When any variant needs the coordinate precision it is
-    taken from ``bit_depth`` or inferred from each reference.
+    References recurring across stimuli are loaded and prepared once, so each
+    gets one kd-tree, one kNN graph per k, one set of normals and one value
+    per resolution estimate for the whole run.  When any variant needs the
+    coordinate precision it is taken from ``bit_depth`` or inferred from
+    each reference.
     """
     if not manifest:
         raise ValueError("manifest is empty")
@@ -370,32 +331,18 @@ def benchmark_scores(
     needs_bits = any(
         peak.kind is PeakKind.PRECISION or peak.density_adaptive for _, peak in metrics
     )
-    want_po2pl = any(kind is ErrorKind.PO2PL for kind, _ in metrics)
-    want_apd = any(peak.estimator is ResolutionEstimator.APD_K for _, peak in metrics)
 
-    ref_cache: dict[str, PointCloud] = {}
-    res_cache: dict[tuple[str, ResolutionEstimator, int | None], float] = {}
+    references: dict[str, PreparedCloud] = {}
     scores = np.empty((len(manifest), len(metrics)), dtype=np.float64)
     for row, stim in enumerate(manifest):
-        ref = ref_cache.get(stim.reference)
+        ref = references.get(stim.reference)
         if ref is None:
-            ref = _load_cloud(stim.reference, stim.stimulus_id)
+            cloud = _load_cloud(stim.reference, stim.stimulus_id)
             if needs_bits:
-                ref = ref.with_bit_depth(bit_depth if bit_depth is not None else infer_bit_depth(ref))
-            if want_po2pl or want_apd:
-                ref, _ = _ensure_normals(ref, normal_k)
-            ref_cache[stim.reference] = ref
-        deg = _load_cloud(stim.degraded, stim.stimulus_id)
-
-        def resolver(estimator, k, _path=stim.reference, _ref=ref):
-            key = (_path, estimator, k)
-            if key not in res_cache:
-                res_cache[key] = resolution(_ref, estimator, k, normal_k=normal_k)
-            return res_cache[key]
-
-        scores[row] = score_pair(
-            ref, deg, metrics, pooling=pooling, normal_k=normal_k, resolver=resolver
-        )
+                cloud = cloud.with_bit_depth(bit_depth if bit_depth is not None else infer_bit_depth(cloud))
+            ref = references[stim.reference] = PreparedCloud(cloud, normal_k)
+        deg = PreparedCloud(_load_cloud(stim.degraded, stim.stimulus_id), normal_k)
+        scores[row] = [r.psnr_pooled for r in score_variants(ref, deg, metrics, pooling=pooling)]
     return scores
 
 

@@ -12,12 +12,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
 from .cloud import PointCloud, precision_peak
+from . import normals as _normals
 from .neighbors import NeighborIndex
-from .normals import DEFAULT_NORMAL_K, estimate_normals
+from .normals import DEFAULT_NORMAL_K
 
 DEFAULT_ESTIMATOR_K = 10
 
@@ -225,6 +227,107 @@ def _require_points(cloud: PointCloud, what: str) -> None:
         raise ValueError(f"{what} cloud is empty")
 
 
+class PreparedCloud:
+    """A cloud plus its kd-tree, self-excluded kNN graph per k, normals and
+    resolution values, each built on first use and at most once; it serves
+    one scoring call or one benchmark run.  Normals and APD_k read neighbor
+    indices, so they use the graph at exactly their own k.  MNN, ANN and
+    ANN_k read only sorted distances, which do not depend on how ties are
+    broken, so they cut the first k columns of a graph built at a larger k.
+    """
+
+    def __init__(self, cloud: PointCloud, normal_k: int = DEFAULT_NORMAL_K):
+        self.cloud = cloud
+        self.normal_k = normal_k
+        self._graphs: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._resolutions: dict[tuple[ResolutionEstimator, int | None], float] = {}
+
+    @cached_property
+    def index(self) -> NeighborIndex:
+        return NeighborIndex(self.cloud)
+
+    def graph(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Self-excluded k nearest neighbors of every point: (indices, distances)."""
+        if k not in self._graphs:
+            _require_points(self.cloud, "input")
+            if len(self.cloud) < k + 1:
+                raise ValueError(f"cloud of {len(self.cloud)} points is too small for k={k} "
+                                 "(need k+1 points)")
+            self._graphs[k] = self.index.self_excluded_neighbors(k)
+        return self._graphs[k]
+
+    @cached_property
+    def normals(self) -> np.ndarray:
+        """The cloud's own normals, or PCA normals from ``graph(normal_k)``."""
+        if self.cloud.has_normals:
+            return self.cloud.normals
+        k = self.normal_k  # an invalid k is left to the estimator to report
+        idx = self.graph(k)[0] if 3 <= k < len(self.cloud) else None
+        return _normals.estimate_normals(self.cloud, k, neighbors=idx).normals
+
+    def apd_mean_square(self, k: int) -> float:
+        """Mean over all pairs of max(d**2 - (o . n)**2, 0): d the graph
+        distance, o the neighbor offset, n the center's normal."""
+        idx, dists = self.graph(k)
+        normals, points = self.normals, self.cloud.points
+        row_sums = np.empty(len(points))
+        for start in range(0, len(points), _normals.BLOCK_ROWS):
+            rows = slice(start, start + _normals.BLOCK_ROWS)
+            offsets = points[idx[rows]] - points[rows, None, :]  # (B, k, 3)
+            # elementwise: einsum may sum in another order for a one-row block
+            along = sum(offsets[:, :, j] * normals[rows, j, None] for j in range(3))
+            row_sums[rows] = np.maximum(dists[rows] ** 2 - along * along, 0.0).sum(axis=1)
+        return float(np.mean(row_sums)) / k
+
+    def resolution(self, estimator: ResolutionEstimator, k: int | None = None) -> float:
+        """One resolution estimate, memoized; ``k`` applies to ANN_K and APD_K only."""
+        if estimator in (ResolutionEstimator.MNN, ResolutionEstimator.ANN):
+            k = None
+        elif k is None:
+            k = DEFAULT_ESTIMATOR_K
+        if (estimator, k) not in self._resolutions:
+            if estimator is ResolutionEstimator.APD_K:
+                value = math.sqrt(self.apd_mean_square(k))
+            else:  # distances only: cut from the smallest graph built at k or more
+                have = min((h for h in self._graphs if h >= (k or 1)), default=k or 1)
+                d = self.graph(have)[1][:, : k or 1]
+                value = d.max() if estimator is ResolutionEstimator.MNN else np.sqrt(np.mean(d * d))
+            self._resolutions[estimator, k] = float(value)
+        return self._resolutions[estimator, k]
+
+    def peak_numerator(self, peak: PeakSpec) -> tuple[float, float]:
+        """Peak value and PSNR numerator with this cloud as the reference.
+
+        Numerators by peak: 3*p_c**2 for precision, the squared diagonal for
+        LD, r**2 for a plain resolution peak, and 3*r*p_c for the
+        density-adaptive form.  Raises ``ZeroPeakError`` when the peak
+        degenerates to zero and ``ValueError`` when a required bit depth is
+        missing.
+        """
+        bit_depth = self.cloud.bit_depth
+        if (peak.kind is PeakKind.PRECISION or peak.density_adaptive) and bit_depth is None:
+            raise ValueError(
+                f"{'precision peak' if peak.kind is PeakKind.PRECISION else 'RA-PSNR'} "
+                "requires a known bit depth on the reference cloud"
+            )
+
+        if peak.kind is PeakKind.PRECISION:
+            peak_value = precision_peak(bit_depth)
+            numerator = 3.0 * peak_value * peak_value
+        elif peak.kind is PeakKind.LARGEST_DIAGONAL:
+            peak_value = largest_diagonal(self.cloud)
+            numerator = peak_value * peak_value
+        else:
+            peak_value = self.resolution(peak.estimator, peak.k)
+            if peak.density_adaptive:
+                numerator = 3.0 * peak_value * precision_peak(bit_depth)
+            else:
+                numerator = peak_value * peak_value
+        if peak_value <= 0.0:
+            raise ZeroPeakError(f"peak {peak.label} evaluated to {peak_value} on the reference cloud")
+        return peak_value, numerator
+
+
 def nn_squared_errors(a: PointCloud, b: PointCloud) -> tuple[np.ndarray, np.ndarray]:
     """For every point of ``a``: (squared distance to, index of) its nearest
     neighbor in ``b``.  The query point is never excluded, so identical
@@ -235,6 +338,17 @@ def nn_squared_errors(a: PointCloud, b: PointCloud) -> tuple[np.ndarray, np.ndar
     return dists * dists, idx
 
 
+def _mean_squared_errors(a: PointCloud, b: PreparedCloud, po2pl: bool) -> dict[ErrorKind, float]:
+    idx, dists = b.index.query(a.points)
+    sq = dists * dists
+    out = {ErrorKind.PO2PO: float(sq.mean())}
+    if po2pl:
+        errors = a.points - b.cloud.points[idx]
+        proj = np.einsum("ij,ij->i", errors, b.normals[idx])
+        out[ErrorKind.PO2PL] = float((proj * proj).mean())
+    return out
+
+
 def directional_mse(a: PointCloud, b: PointCloud, kind: ErrorKind) -> float:
     """Mean squared nearest-neighbor error from every point of ``a`` into ``b``.
 
@@ -242,14 +356,11 @@ def directional_mse(a: PointCloud, b: PointCloud, kind: ErrorKind) -> float:
     the matched neighbor's normal (``b`` must carry normals).  The PO2PL
     value never exceeds the PO2PO value for the same pair.
     """
-    sq, idx = nn_squared_errors(a, b)
-    if kind is ErrorKind.PO2PO:
-        return float(sq.mean())
-    if b.normals is None:
+    _require_points(a, "source")
+    _require_points(b, "target")
+    if kind is ErrorKind.PO2PL and b.normals is None:
         raise ValueError("point-to-plane error needs normals on the target cloud")
-    errors = a.points - b.points[idx]
-    proj = np.einsum("ij,ij->i", errors, b.normals[idx])
-    return float((proj * proj).mean())
+    return _mean_squared_errors(a, PreparedCloud(b), kind is ErrorKind.PO2PL)[kind]
 
 
 def largest_diagonal(cloud: PointCloud) -> float:
@@ -259,27 +370,18 @@ def largest_diagonal(cloud: PointCloud) -> float:
     return float(np.linalg.norm(extent))
 
 
-def _self_excluded_distances(cloud: PointCloud, k: int) -> np.ndarray:
-    _require_points(cloud, "input")
-    if len(cloud) < k + 1:
-        raise ValueError(f"cloud of {len(cloud)} points is too small for k={k} (need k+1 points)")
-    _, dists = NeighborIndex(cloud).self_excluded_neighbors(k)
-    return dists
-
-
 def mnn(cloud: PointCloud) -> float:
     """Maximum over all points of the self-excluded nearest-neighbor distance.
 
     Sensitive to holes and locally sparse regions: a single isolated point
     dominates the estimate.
     """
-    return float(_self_excluded_distances(cloud, 1).max())
+    return PreparedCloud(cloud).resolution(ResolutionEstimator.MNN)
 
 
 def ann(cloud: PointCloud) -> float:
     """Root mean square of the self-excluded nearest-neighbor distances."""
-    d = _self_excluded_distances(cloud, 1)
-    return float(np.sqrt(np.mean(d * d)))
+    return PreparedCloud(cloud).resolution(ResolutionEstimator.ANN)
 
 
 def ann_k(cloud: PointCloud, k: int = DEFAULT_ESTIMATOR_K) -> float:
@@ -287,8 +389,7 @@ def ann_k(cloud: PointCloud, k: int = DEFAULT_ESTIMATOR_K) -> float:
 
     ``ann_k(cloud, 1)`` equals ``ann(cloud)`` exactly.
     """
-    d = _self_excluded_distances(cloud, k)
-    return float(np.sqrt(np.mean(d * d)))
+    return PreparedCloud(cloud).resolution(ResolutionEstimator.ANN_K, k)
 
 
 def planar_offset(center, normal, neighbor) -> np.ndarray:
@@ -327,17 +428,8 @@ def apd_k(
     kept for comparison; the rooted form is dimensionally consistent with
     the plain k-neighborhood RMS estimator and is what RA-PSNR consumes).
     """
-    _require_points(cloud, "input")
-    if len(cloud) < k + 1:
-        raise ValueError(f"cloud of {len(cloud)} points is too small for k={k} (need k+1 points)")
-    if cloud.normals is None:
-        cloud = estimate_normals(cloud, k=normal_k)
-    idx, _ = NeighborIndex(cloud).self_excluded_neighbors(k)
-    offsets = cloud.points[idx] - cloud.points[:, None, :]  # (N, k, 3)
-    dots = np.einsum("nkj,nj->nk", offsets, cloud.normals)
-    planar = offsets - dots[:, :, None] * cloud.normals[:, None, :]
-    mean_sq = float(np.mean(np.einsum("nkj,nkj->nk", planar, planar)))
-    return math.sqrt(mean_sq) if root else mean_sq
+    prepared = PreparedCloud(cloud, normal_k)
+    return prepared.resolution(ResolutionEstimator.APD_K, k) if root else prepared.apd_mean_square(k)
 
 
 def density_coefficient(bit_depth: int, r: float) -> float:
@@ -356,13 +448,7 @@ def resolution(
     normal_k: int = DEFAULT_NORMAL_K,
 ) -> float:
     """Evaluate one of the resolution estimators on a cloud."""
-    if estimator is ResolutionEstimator.MNN:
-        return mnn(cloud)
-    if estimator is ResolutionEstimator.ANN:
-        return ann(cloud)
-    if estimator is ResolutionEstimator.ANN_K:
-        return ann_k(cloud, k if k is not None else DEFAULT_ESTIMATOR_K)
-    return apd_k(cloud, k if k is not None else DEFAULT_ESTIMATOR_K, normal_k=normal_k)
+    return PreparedCloud(cloud, normal_k).resolution(estimator, k)
 
 
 def _db(numerator: float, mse: float) -> float:
@@ -379,52 +465,56 @@ def _pool(psnr_ab: float, psnr_ba: float, pooling: str) -> float:
     raise ValueError(f"pooling must be one of {POOLING_MODES}, got {pooling!r}")
 
 
-def _ensure_normals(cloud: PointCloud, normal_k: int) -> tuple[PointCloud, str]:
-    if cloud.has_normals:
-        return cloud, "file"
-    return estimate_normals(cloud, k=normal_k), "estimated"
+def _normals_source(cloud: PointCloud, used: bool) -> str:
+    return ("file" if cloud.has_normals else "estimated") if used else "unused"
 
 
-def peak_numerator(
-    a: PointCloud,
-    peak: PeakSpec,
+def score_variants(
+    ref: PreparedCloud,
+    deg: PreparedCloud,
+    variants: list[tuple[ErrorKind, PeakSpec]],
     *,
-    normal_k: int = DEFAULT_NORMAL_K,
-    resolver=None,
-) -> tuple[float, float]:
-    """Peak value and PSNR numerator for reference cloud ``a``.
+    pooling: str = "max",
+) -> list[MetricResult]:
+    """PSNR of degraded ``deg`` against reference ``ref`` (prepared with the
+    same ``normal_k``) for every (error kind, peak) variant.  Correspondences
+    and peaks are computed once and shared; ``ref`` keeps its normals and
+    peaks, not its graphs.  Each result equals a ``psnr`` call for it alone."""
+    if pooling not in POOLING_MODES:
+        raise ValueError(f"pooling must be one of {POOLING_MODES}, got {pooling!r}")
+    _require_points(ref.cloud, "reference")
+    _require_points(deg.cloud, "degraded")
 
-    Numerators by peak: 3*p_c**2 for precision, the squared diagonal for LD,
-    r**2 for a plain resolution peak, and 3*r*p_c for the density-adaptive
-    form.  ``resolver(estimator, k)`` may supply memoized resolution values.
-    Raises ``ZeroPeakError`` when the peak degenerates to zero and
-    ``ValueError`` when a required bit depth is missing.
-    """
-    bit_depth = a.bit_depth
-    if (peak.kind is PeakKind.PRECISION or peak.density_adaptive) and bit_depth is None:
-        raise ValueError(
-            f"{'precision peak' if peak.kind is PeakKind.PRECISION else 'RA-PSNR'} "
-            "requires a known bit depth on the reference cloud"
-        )
+    # normals first, as their errors come first; then peaks with larger k
+    # first, so that the distance-only estimators cut an existing graph
+    po2pl = any(kind is ErrorKind.PO2PL for kind, _ in variants)
+    if po2pl or any(peak.estimator is ResolutionEstimator.APD_K for _, peak in variants):
+        _ = ref.normals
+    if po2pl:
+        _ = deg.normals
+    specs = sorted(dict.fromkeys(peak for _, peak in variants), key=lambda p: -(p.k or 1))
+    peaks = {peak: ref.peak_numerator(peak) for peak in specs}
+    mse_ab = _mean_squared_errors(ref.cloud, deg, po2pl)
+    mse_ba = _mean_squared_errors(deg.cloud, ref, po2pl)
+    # the graphs served the normals and peaks, which stay; a benchmark keeps ref to the end
+    ref._graphs.clear()
 
-    if peak.kind is PeakKind.PRECISION:
-        peak_value = precision_peak(bit_depth)
-        numerator = 3.0 * peak_value * peak_value
-    elif peak.kind is PeakKind.LARGEST_DIAGONAL:
-        peak_value = largest_diagonal(a)
-        numerator = peak_value * peak_value
-    else:
-        if resolver is not None:
-            peak_value = resolver(peak.estimator, peak.k)
-        else:
-            peak_value = resolution(a, peak.estimator, peak.k, normal_k=normal_k)
-        if peak.density_adaptive:
-            numerator = 3.0 * peak_value * precision_peak(bit_depth)
-        else:
-            numerator = peak_value * peak_value
-    if peak_value <= 0.0:
-        raise ZeroPeakError(f"peak {peak.label} evaluated to {peak_value} on the reference cloud")
-    return peak_value, numerator
+    results = []
+    for kind, peak in variants:
+        peak_value, numerator = peaks[peak]
+        uses_ref = kind is ErrorKind.PO2PL or peak.estimator is ResolutionEstimator.APD_K
+        normals_a = _normals_source(ref.cloud, uses_ref)
+        normals_b = _normals_source(deg.cloud, kind is ErrorKind.PO2PL)
+        normal_k = ref.normal_k if "estimated" in (normals_a, normals_b) else None
+        psnr_ab = _db(numerator, mse_ab[kind])
+        psnr_ba = _db(numerator, mse_ba[kind])
+        results.append(MetricResult(
+            psnr_ab=psnr_ab, psnr_ba=psnr_ba, psnr_pooled=_pool(psnr_ab, psnr_ba, pooling),
+            mse_ab=mse_ab[kind], mse_ba=mse_ba[kind], peak_value=peak_value,
+            error_kind=kind, peak=peak, pooling=pooling, bit_depth=ref.cloud.bit_depth,
+            normal_k=normal_k, normals_a=normals_a, normals_b=normals_b,
+        ))
+    return results
 
 
 def psnr(
@@ -449,47 +539,11 @@ def psnr(
 
     Zero MSE in a direction yields ``inf`` dB there, flagged as infinite
     quality rather than raising.  A zero peak (degenerate reference) raises
-    ``ZeroPeakError``.
+    ``ZeroPeakError``.  This is ``score_variants`` with one variant.
     """
-    if peak is None:
-        peak = PeakSpec.precision()
-    if pooling not in POOLING_MODES:
-        raise ValueError(f"pooling must be one of {POOLING_MODES}, got {pooling!r}")
-    _require_points(a, "reference")
-    _require_points(b, "degraded")
-
-    normals_a = normals_b = "unused"
-    used_normal_k: int | None = None
-    needs_a = kind is ErrorKind.PO2PL or peak.estimator is ResolutionEstimator.APD_K
-    if needs_a:
-        a, normals_a = _ensure_normals(a, normal_k)
-    if kind is ErrorKind.PO2PL:
-        b, normals_b = _ensure_normals(b, normal_k)
-    if "estimated" in (normals_a, normals_b):
-        used_normal_k = normal_k
-
-    peak_value, numerator = peak_numerator(a, peak, normal_k=normal_k)
-
-    mse_ab = directional_mse(a, b, kind)
-    mse_ba = directional_mse(b, a, kind)
-    psnr_ab = _db(numerator, mse_ab)
-    psnr_ba = _db(numerator, mse_ba)
-
-    return MetricResult(
-        psnr_ab=psnr_ab,
-        psnr_ba=psnr_ba,
-        psnr_pooled=_pool(psnr_ab, psnr_ba, pooling),
-        mse_ab=mse_ab,
-        mse_ba=mse_ba,
-        peak_value=peak_value,
-        error_kind=kind,
-        peak=peak,
-        pooling=pooling,
-        bit_depth=a.bit_depth,
-        normal_k=used_normal_k,
-        normals_a=normals_a,
-        normals_b=normals_b,
-    )
+    variant = (kind, PeakSpec.precision() if peak is None else peak)
+    ref, deg = PreparedCloud(a, normal_k), PreparedCloud(b, normal_k)
+    return score_variants(ref, deg, [variant], pooling=pooling)[0]
 
 
 _RA_ESTIMATORS = (ResolutionEstimator.ANN, ResolutionEstimator.ANN_K, ResolutionEstimator.APD_K)

@@ -67,14 +67,16 @@ class NeighborIndex:
         if not 1 <= k <= n - 1:
             raise ValueError(f"k must be in [1, {n - 1}] for self-excluded queries, got {k}")
         dists, idx = self._tree.query(self.cloud.points, k=k + 1, workers=-1)
-        rows = np.arange(n)
-        self_pos = idx == rows[:, None]
-        # With k+1 or more coincident duplicates the query row may not contain
-        # the point itself; drop the farthest entry instead (a tie at the cut).
+        # Column 0, usually the point itself, is dropped; rows where a duplicate
+        # precedes it are shifted first.  A row of k+1 coincident duplicates may
+        # lack the point; its farthest entry goes instead (a tie at the cut).
+        rows = np.flatnonzero(idx[:, 0] != np.arange(n))
+        self_pos = idx[rows] == rows[:, None]
         drop = np.where(self_pos.any(axis=1), self_pos.argmax(axis=1), k)
-        keep = np.ones((n, k + 1), dtype=bool)
-        keep[rows, drop] = False
-        return idx[keep].reshape(n, k), dists[keep].reshape(n, k)
+        keep = np.arange(k + 1) != drop[:, None]
+        idx[rows, 1:] = idx[rows][keep].reshape(-1, k)
+        dists[rows, 1:] = dists[rows][keep].reshape(-1, k)
+        return idx[:, 1:], dists[:, 1:]
 
     def nearest(self, q, exclude_index: int | None = None) -> tuple[int, float]:
         """Nearest point to ``q``; ties broken toward the lowest index.

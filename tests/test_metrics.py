@@ -25,7 +25,7 @@ from pcqa import (
     ra_psnr,
     resolution,
 )
-from pcqa.metrics import nn_squared_errors, peak_numerator
+from pcqa.metrics import nn_squared_errors
 from shapes import (
     integer_grid,
     planar_grid,
@@ -426,21 +426,3 @@ def test_ra_psnr_rejects_mnn(rng):
     ref = random_voxel_cloud(rng, n=100, bit_depth=6)
     with pytest.raises(ValueError, match="mnn|MNN"):
         ra_psnr(ref, ref, ErrorKind.PO2PO, ResolutionEstimator.MNN)
-
-
-def test_peak_numerator_resolver_injection():
-    cloud = PointCloud([[0.0, 0.0, 0.0], [3.0, 0.0, 0.0]], bit_depth=2)
-    calls = []
-
-    def resolver(estimator, k):
-        calls.append((estimator, k))
-        return 2.0
-
-    spec = PeakSpec.intrinsic(ResolutionEstimator.ANN)
-    value, numerator = peak_numerator(cloud, spec, resolver=resolver)
-    assert (value, numerator) == (2.0, 4.0)
-    assert calls == [(ResolutionEstimator.ANN, None)]
-    # density-adaptive form multiplies by the precision peak instead
-    spec_ra = PeakSpec.intrinsic(ResolutionEstimator.ANN, density_adaptive=True)
-    value, numerator = peak_numerator(cloud, spec_ra, resolver=resolver)
-    assert (value, numerator) == (2.0, 3.0 * 2.0 * 3.0)

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from pcqa import PointCloud, estimate_normals, normal_vectors
-from shapes import fibonacci_sphere, planar_grid
+import pcqa.normals
+from pcqa import NeighborIndex, PointCloud, estimate_normals, gaussian_jitter, normal_vectors
+from shapes import fibonacci_sphere, planar_grid, voxelized_sphere
 
 
 def test_plane_recovers_exact_normal():
@@ -69,3 +70,95 @@ def test_argument_validation():
         normal_vectors(cloud, k=2)
     with pytest.raises(ValueError):
         normal_vectors(PointCloud(np.zeros((4, 3))), k=4)  # needs k + 1 points
+
+
+# ------------------------------------------- closed form against eigh
+
+
+def _traced_normals(monkeypatch, cloud, k):
+    """normal_vectors, plus the rows its closed form left to eigh and the
+    einsum covariance of every neighborhood."""
+    fallback = []
+    closed_form = pcqa.normals._smallest_eigenvectors
+
+    def spy(cov):
+        vectors, rows, zero = closed_form(cov)
+        fallback.append(rows)
+        return vectors, rows, zero
+
+    monkeypatch.setattr(pcqa.normals, "_smallest_eigenvectors", spy)
+    normals, degenerate = normal_vectors(cloud, k=k)
+    idx, _ = NeighborIndex(cloud).self_excluded_neighbors(k)
+    neighbors = cloud.points[idx]
+    centered = neighbors - neighbors.mean(axis=1, keepdims=True)
+    cov = np.einsum("nki,nkj->nij", centered, centered) / k
+    return normals, degenerate, np.concatenate(fallback), cov
+
+
+def _isotropic_blobs(rng, count=40, jitter=1e-12):
+    """Far-apart octahedra with their centers, randomly rotated: with k=6 a
+    center sees a covariance that is a multiple of I up to ``jitter``."""
+    rotations, _ = np.linalg.qr(rng.normal(size=(count, 3, 3)))
+    shape = np.vstack([np.zeros(3), np.eye(3), -np.eye(3)])
+    blobs = np.einsum("bij,pj->bpi", rotations, shape) + 100.0 * np.arange(count)[:, None, None]
+    return PointCloud(blobs.reshape(-1, 3) + rng.normal(0.0, jitter, size=(count * 7, 3)))
+
+
+def _collinear(rng):
+    direction = np.array([1.0, 2.0, 2.0]) / 3.0
+    return PointCloud(np.outer(np.sort(rng.uniform(0.0, 50.0, 60)), direction) + 7.0)
+
+
+@pytest.mark.parametrize("name", ["voxel sphere", "jittered sphere", "random", "blobs",
+                                  "collinear", "coincident"])
+def test_closed_form_normals_match_eigh(monkeypatch, rng, name):
+    k = 6 if name == "blobs" else 4 if name == "coincident" else 10
+    clouds = {
+        "voxel sphere": lambda: voxelized_sphere(n=3000, radius=40.0, bit_depth=7),
+        "jittered sphere": lambda: gaussian_jitter(voxelized_sphere(n=3000, radius=40.0), 0.5, 7),
+        "random": lambda: PointCloud(rng.uniform(0.0, 10.0, size=(2000, 3))),
+        "blobs": lambda: _isotropic_blobs(rng),
+        "collinear": lambda: _collinear(rng),
+        "coincident": lambda: PointCloud(np.repeat(rng.uniform(0.0, 9.0, (6, 3)), 5, axis=0)),
+    }
+    cloud = clouds[name]()
+    normals, degenerate, fallback, cov = _traced_normals(monkeypatch, cloud, k)
+    eigvals, eigvecs = np.linalg.eigh(cov)
+
+    assert np.array_equal(degenerate, eigvals[:, 2] <= 0.0)
+    closed = ~fallback & ~degenerate
+    want = eigvecs[closed, :, 0]
+    sign = np.sign(np.einsum("ni,ni->n", normals[closed], want))[:, None]
+    assert np.abs(normals[closed] - sign * want).max(initial=0.0) <= 1e-9
+    np.testing.assert_allclose(np.linalg.norm(normals, axis=1), 1.0, rtol=1e-12)
+    # rows left to eigh get exactly eigh's vector of the einsum covariance
+    solved = fallback & ~degenerate
+    want = eigvecs[solved, :, 0] / np.linalg.norm(eigvecs[solved, :, 0], axis=1)[:, None]
+    sign = np.sign(np.einsum("ni,ni->n", normals[solved], want))[:, None]
+    assert np.array_equal(normals[solved], sign * want)
+
+    if name in ("blobs", "collinear"):
+        assert fallback.any()  # the eigh branch really ran
+    if name == "blobs":
+        assert fallback[::7].all() and not fallback[np.arange(len(cloud)) % 7 != 0].any()
+    if name == "collinear":
+        assert fallback.all()
+        assert np.abs(normals @ (np.array([1.0, 2.0, 2.0]) / 3.0)).max() <= 1e-9
+    if name == "coincident":
+        assert degenerate.all()
+    if name in ("voxel sphere", "jittered sphere", "random"):
+        assert closed.mean() > 0.99
+
+
+@pytest.mark.parametrize("gap", [2.5e-6, 1e-5, 1e-4, 1e-2])
+def test_closed_form_holds_1e9_just_above_the_eigh_threshold(rng, gap):
+    # eigenvalues (1, 1 + gap, 2) in random frames: the closed-form eigenvalue
+    # is least accurate when the two smallest nearly coincide
+    rotations, _ = np.linalg.qr(rng.normal(size=(5000, 3, 3)))
+    cov = np.einsum("nij,j,nkj->nik", rotations, [1.0, 1.0 + gap, 2.0], rotations) * 300.0
+    vectors, fallback, zero = pcqa.normals._smallest_eigenvectors(cov)
+    want = np.linalg.eigh(cov)[1][:, :, 0]
+    sign = np.sign(np.einsum("ni,ni->n", vectors, want))[:, None]
+    assert not zero.any()
+    assert fallback.mean() < 0.5
+    assert np.abs(vectors - sign * want)[~fallback].max() <= 1e-9
