@@ -43,13 +43,7 @@ from .metrics import (
     ra_psnr,
     resolution,
 )
-from .neighbors import (
-    NeighborIndex,
-    Neighborhood,
-    build_index,
-    k_neighborhood,
-    nearest_neighbor,
-)
+from .neighbors import NeighborIndex
 from .normals import DEFAULT_NORMAL_K, estimate_normals, normal_vectors
 from .ply import PlyParseError, read_ply, write_ply
 
@@ -62,7 +56,6 @@ __all__ = [
     "ErrorKind",
     "MetricResult",
     "NeighborIndex",
-    "Neighborhood",
     "PeakKind",
     "PeakSpec",
     "PlyParseError",
@@ -73,17 +66,14 @@ __all__ = [
     "ann",
     "ann_k",
     "apd_k",
-    "build_index",
     "density_coefficient",
     "directional_mse",
     "estimate_normals",
     "fit_regression",
     "gaussian_jitter",
     "infer_bit_depth",
-    "k_neighborhood",
     "largest_diagonal",
     "mnn",
-    "nearest_neighbor",
     "normal_vectors",
     "octree_quantize",
     "planar_distance",

@@ -71,10 +71,6 @@ def _emit(text: str, out_path: str | None) -> None:
             fh.write(text)
 
 
-def _load(path: str):
-    return read_ply(path)
-
-
 def _peak_from_flags(peak: str, ra: bool | None, k: int) -> PeakSpec:
     """Build the peak spec; bare ``compare`` defaults to the density-adaptive
     rendering peak, while an explicit non-resolution peak leaves ``--ra`` off."""
@@ -107,8 +103,8 @@ def cmd_compare(args) -> int:
     peak = _peak_from_flags(args.peak, args.ra, args.k)
     pooling = POOLING_FLAGS[args.pooling]
 
-    ref = _load(args.ref)
-    deg = _load(args.deg)
+    ref = read_ply(args.ref)
+    deg = read_ply(args.deg)
     needs_bits = peak.kind is PeakKind.PRECISION or peak.density_adaptive
     ref = _resolve_bit_depth(ref, args.bitdepth, needs_bits)
 
@@ -139,7 +135,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_resolution(args) -> int:
-    cloud = _load(args.ref)
+    cloud = read_ply(args.ref)
     estimator = ResolutionEstimator(args.peak)
     value = resolution(cloud, estimator, args.k, normal_k=args.normal_k)
     if estimator in (ResolutionEstimator.ANN_K, ResolutionEstimator.APD_K):
@@ -155,7 +151,7 @@ def cmd_resolution(args) -> int:
 
 
 def cmd_degrade(args) -> int:
-    cloud = _load(args.ref)
+    cloud = read_ply(args.ref)
     if args.gaussian is not None:
         if args.gaussian <= 0.0:
             raise UsageError(f"--gaussian sigma must be positive, got {args.gaussian}")

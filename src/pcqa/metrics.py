@@ -263,7 +263,7 @@ class PreparedCloud:
             return self.cloud.normals
         k = self.normal_k  # an invalid k is left to the estimator to report
         idx = self.graph(k)[0] if 3 <= k < len(self.cloud) else None
-        return _normals.estimate_normals(self.cloud, k, neighbors=idx).normals
+        return _normals.normal_vectors(self.cloud, k, neighbors=idx)[0]
 
     def apd_mean_square(self, k: int) -> float:
         """Mean over all pairs of max(d**2 - (o . n)**2, 0): d the graph

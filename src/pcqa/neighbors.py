@@ -3,34 +3,16 @@
 Backed by ``scipy.spatial.cKDTree``, which is imported when the first index
 is built, so importing pcqa loads numpy only.  All queries are exact, so
 results match an exhaustive scan up to the ordering of equidistant
-neighbors.  Single nearest-neighbor lookups additionally break distance ties
-toward the lowest point index, which keeps downstream metrics deterministic
-across platforms.
+neighbors.  Every lookup is one batch query on the cloud's one tree, and it
+keeps ``cKDTree``'s pick among equidistant points; a documented tie rule is
+still open (ROADMAP item 2).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .cloud import PointCloud
-
-
-@dataclass(frozen=True)
-class Neighborhood:
-    """The k nearest neighbors of one cloud point, excluding the point itself."""
-
-    center_index: int
-    neighbor_indices: np.ndarray  # (k,) int, ordered by non-decreasing distance
-    distances: np.ndarray  # (k,) float
-
-    def __post_init__(self):
-        object.__setattr__(self, "neighbor_indices", np.asarray(self.neighbor_indices, dtype=np.intp))
-        object.__setattr__(self, "distances", np.asarray(self.distances, dtype=np.float64))
-
-    def __len__(self) -> int:
-        return len(self.neighbor_indices)
 
 
 class NeighborIndex:
@@ -77,69 +59,3 @@ class NeighborIndex:
         idx[rows, 1:] = idx[rows][keep].reshape(-1, k)
         dists[rows, 1:] = dists[rows][keep].reshape(-1, k)
         return idx[:, 1:], dists[:, 1:]
-
-    def nearest(self, q, exclude_index: int | None = None) -> tuple[int, float]:
-        """Nearest point to ``q``; ties broken toward the lowest index.
-
-        ``exclude_index`` removes one member point (by index) from the
-        candidate set, for self-excluded lookups.
-        """
-        n = len(self)
-        if exclude_index is not None and n < 2:
-            raise ValueError("no candidates remain after excluding the query point")
-        q = np.asarray(q, dtype=np.float64)
-        k = 1 if exclude_index is None else 2
-        idx, dists = self.query(q, k=k)
-        if exclude_index is not None:
-            keep = idx != exclude_index
-            if not keep.any():  # both hits were the excluded point (impossible) — safety net
-                raise ValueError("no candidates remain after exclusion")
-            idx, dists = idx[keep], dists[keep]
-        d_best = float(dists[0])
-        # collect the full tie class so 'lowest index wins' holds exactly
-        candidates = self._tree.query_ball_point(q, r=d_best * (1.0 + 1e-12) + 5e-324)
-        best_i, best_d = int(idx[0]), d_best
-        for i in candidates:
-            if i == exclude_index:
-                continue
-            d = float(np.sqrt(((self.cloud.points[i] - q) ** 2).sum()))
-            if d < best_d or (d == best_d and i < best_i):
-                best_i, best_d = i, d
-        return best_i, best_d
-
-
-def build_index(cloud: PointCloud) -> NeighborIndex:
-    """Build a nearest-neighbor index over the cloud (cloud is not mutated)."""
-    return NeighborIndex(cloud)
-
-
-def nearest_neighbor(index: NeighborIndex, q, exclude_self: bool = False) -> tuple[int, float]:
-    """Index and distance of the point nearest to ``q``.
-
-    With ``exclude_self`` the member point coinciding with ``q`` (lowest
-    index, if several coincide) is removed from the candidates, so querying
-    a cloud point finds its nearest *other* point.
-    """
-    exclude = None
-    if exclude_self:
-        coincident = index._tree.query_ball_point(np.asarray(q, dtype=np.float64), r=0.0)
-        if coincident:
-            exclude = min(coincident)
-    return index.nearest(q, exclude_index=exclude)
-
-
-def k_neighborhood(index: NeighborIndex, i: int, k: int) -> Neighborhood:
-    """The k nearest neighbors of member point ``i``, self excluded."""
-    n = len(index)
-    if not 0 <= i < n:
-        raise ValueError(f"point index {i} out of range for cloud of {n} points")
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"cloud of {n} points is too small for k={k} (need k+1 points)")
-    dists, idx = index._tree.query(index.cloud.points[i], k=k + 1)
-    idx = np.atleast_1d(idx)
-    dists = np.atleast_1d(dists)
-    keep = idx != i
-    if keep.all():  # self not returned: >= k+1 coincident duplicates; drop the farthest
-        keep[-1] = False
-    idx, dists = idx[keep][:k], dists[keep][:k]
-    return Neighborhood(center_index=i, neighbor_indices=idx, distances=dists)

@@ -57,7 +57,8 @@ def normal_vectors(
     neighborhood mean).  Sign carries no meaning and is canonicalized so the
     largest-magnitude component is positive.  A neighborhood of coincident
     points has no defined normal; those points get (0, 0, 1) and are flagged
-    in the returned mask.  ``neighbors`` may pass the (N, k) indices of
+    in the returned mask, and a ``RuntimeWarning`` names how many there are.
+    ``neighbors`` may pass the (N, k) indices of
     ``NeighborIndex.self_excluded_neighbors(k)`` when they are already known.
     """
     if k < 3:
@@ -72,8 +73,8 @@ def normal_vectors(
     degenerate = np.empty(n, dtype=bool)
     for start in range(0, n, BLOCK_ROWS):
         rows = slice(start, start + BLOCK_ROWS)
-        block = cloud.points[neighbors[rows]]  # (B, k, 3)
-        centered = block - block.mean(axis=1, keepdims=True)
+        centered = cloud.points[neighbors[rows]]  # (B, k, 3)
+        centered -= centered.mean(axis=1, keepdims=True)
         cov = np.matmul(np.ascontiguousarray(centered.transpose(0, 2, 1)), centered) / k
         vectors, fallback, degenerate[rows] = _smallest_eigenvectors(cov)
         if fallback.any():
@@ -82,6 +83,13 @@ def normal_vectors(
             vectors[fallback] = np.linalg.eigh(np.einsum("nki,nkj->nij", c, c) / k)[1][:, :, 0]
         normals[rows] = vectors
     normals[degenerate] = (0.0, 0.0, 1.0)  # all-coincident neighborhoods have zero covariance
+    if degenerate.any():
+        warnings.warn(
+            f"{int(degenerate.sum())} of {n} points have degenerate "
+            "(coincident) neighborhoods; their normals were set to (0, 0, 1)",
+            RuntimeWarning,
+            stacklevel=2,
+        )
 
     norms = np.linalg.norm(normals, axis=1)
     normals /= norms[:, None]
@@ -91,21 +99,7 @@ def normal_vectors(
     return normals, degenerate
 
 
-def estimate_normals(
-    cloud: PointCloud, k: int = DEFAULT_NORMAL_K, *, neighbors: np.ndarray | None = None
-) -> PointCloud:
-    """Return a copy of the cloud with PCA-estimated unit normals attached.
-
-    Warns when any neighborhood is degenerate (coincident points); the
-    affected points carry the placeholder normal (0, 0, 1).  Use
-    ``normal_vectors``, which also takes ``neighbors``, for the degeneracy mask.
-    """
-    normals, degenerate = normal_vectors(cloud, k=k, neighbors=neighbors)
-    if degenerate.any():
-        warnings.warn(
-            f"{int(degenerate.sum())} of {len(cloud)} points have degenerate "
-            "(coincident) neighborhoods; their normals were set to (0, 0, 1)",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return cloud.with_normals(normals)
+def estimate_normals(cloud: PointCloud, k: int = DEFAULT_NORMAL_K) -> PointCloud:
+    """Return a copy of the cloud with PCA-estimated unit normals attached;
+    ``normal_vectors`` also returns the degeneracy mask."""
+    return cloud.with_normals(normal_vectors(cloud, k)[0])

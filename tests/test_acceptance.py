@@ -24,12 +24,10 @@ from pcqa import (
     ann,
     ann_k,
     apd_k,
-    build_index,
     directional_mse,
     estimate_normals,
     fit_regression,
     gaussian_jitter,
-    k_neighborhood,
     mnn,
     octree_quantize,
     planar_distance,
@@ -147,14 +145,13 @@ def test_criterion_2_analytic_fixtures(capsys):
     # spacing itself
     n, s = 12, 1.0
     plane = planar_grid(n, spacing=s, with_normals=True)
-    index = build_index(plane)
+    neighbors, _ = NeighborIndex(plane).self_excluded_neighbors(4)
     interior = np.flatnonzero(planar_interior_mask(n))
     worst = 0.0
     for i in interior:
-        hood = k_neighborhood(index, int(i), 4)
         dists = [
             planar_distance(plane.points[i], plane.normals[i], plane.points[j])
-            for j in hood.neighbor_indices
+            for j in neighbors[i]
         ]
         rms = math.sqrt(sum(d * d for d in dists) / 4.0)
         worst = max(worst, abs(rms - s))

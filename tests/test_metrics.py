@@ -6,6 +6,7 @@ import pytest
 import oracles
 from pcqa import (
     ErrorKind,
+    NeighborIndex,
     PeakKind,
     PeakSpec,
     PointCloud,
@@ -169,15 +170,12 @@ def test_planar_offset_is_orthogonal_contraction(rng):
 def test_interior_planar_neighbors_sit_at_grid_spacing():
     # on a plane the 4 nearest neighbors of an interior point lie in-plane,
     # so their tangent-plane distances equal the grid spacing exactly
-    from pcqa import build_index, k_neighborhood
-
     n = 9
     cloud = planar_grid(n)
-    index = build_index(cloud)
+    neighbors, _ = NeighborIndex(cloud).self_excluded_neighbors(4)
     interior = np.flatnonzero(planar_interior_mask(n))
     for i in interior[:: max(1, len(interior) // 12)]:
-        hood = k_neighborhood(index, int(i), 4)
-        for j in hood.neighbor_indices:
+        for j in neighbors[i]:
             d = planar_distance(cloud.points[i], cloud.normals[i], cloud.points[j])
             assert d == pytest.approx(1.0, abs=1e-9)
 

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from oracles import knn_self_excluded_brute, nn_brute
-from pcqa import NeighborIndex, PointCloud, build_index, k_neighborhood, nearest_neighbor
-from shapes import integer_grid, random_cloud
+from oracles import knn_self_excluded_brute, nn_brute, pairwise_distances
+from pcqa import NeighborIndex, PointCloud
+from shapes import integer_grid, random_cloud, random_voxel_cloud
 
 
 def test_empty_cloud_cannot_be_indexed():
@@ -11,15 +11,15 @@ def test_empty_cloud_cannot_be_indexed():
         NeighborIndex(PointCloud(np.empty((0, 3))))
 
 
-def test_build_index_returns_working_index():
-    index = build_index(PointCloud([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]]))
+def test_query_returns_neighbors_in_ascending_order():
+    index = NeighborIndex(PointCloud([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]]))
     idx, dists = index.query([1.9, 0.0, 0.0], k=2)
     assert list(idx) == [1, 0]
     assert dists == pytest.approx([0.1, 1.9])
 
 
 def test_query_k_bounds():
-    index = build_index(PointCloud([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]))
+    index = NeighborIndex(PointCloud([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]))
     with pytest.raises(ValueError):
         index.query([0.0, 0.0, 0.0], k=0)
     with pytest.raises(ValueError):
@@ -28,44 +28,23 @@ def test_query_k_bounds():
 
 def test_query_matches_brute_force(rng):
     cloud = random_cloud(rng, n=200)
-    index = build_index(cloud)
     queries = rng.uniform(-2.0, 12.0, size=(40, 3))
+    idx, dists = NeighborIndex(cloud).query(queries)
     want_idx, want_d = nn_brute(queries, cloud.points)
-    for q, wi, wd in zip(queries, want_idx, want_d):
-        i, d = nearest_neighbor(index, q)
-        assert i == wi
-        assert d == pytest.approx(wd, rel=1e-12)
+    assert np.array_equal(idx, want_idx)  # random coordinates: no ties
+    np.testing.assert_allclose(dists, want_d, rtol=1e-12)
 
 
-def test_nearest_breaks_ties_toward_lowest_index():
-    # indices 1 and 2 are both at distance 1 from the origin
-    cloud = PointCloud([[5.0, 0.0, 0.0], [1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
-    i, d = nearest_neighbor(build_index(cloud), [0.0, 0.0, 0.0])
-    assert (i, d) == (1, 1.0)
-    # and the winner tracks the ordering, not the geometry
-    flipped = PointCloud(cloud.points[::-1])
-    i, d = nearest_neighbor(build_index(flipped), [0.0, 0.0, 0.0])
-    assert (i, d) == (0, 1.0)
-
-
-def test_nearest_with_exclude_index():
-    cloud = PointCloud([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [3.0, 0.0, 0.0]])
-    index = build_index(cloud)
-    assert index.nearest([0.0, 0.0, 0.0]) == (0, 0.0)
-    assert index.nearest([0.0, 0.0, 0.0], exclude_index=0) == (1, 1.0)
-    with pytest.raises(ValueError):
-        build_index(PointCloud([[0.0, 0.0, 0.0]])).nearest([0.0, 0.0, 0.0], exclude_index=0)
-
-
-def test_exclude_self_finds_nearest_other_point():
-    cloud = PointCloud([[0.0, 0.0, 0.0], [4.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-    index = build_index(cloud)
-    # querying a member point without exclusion returns the point itself
-    assert nearest_neighbor(index, [0.0, 0.0, 0.0]) == (0, 0.0)
-    # with exclusion, the duplicate at index 2 is the nearest *other* point
-    assert nearest_neighbor(index, [0.0, 0.0, 0.0], exclude_self=True) == (2, 0.0)
-    # a non-member query point is unaffected by exclude_self
-    assert nearest_neighbor(index, [3.0, 0.0, 0.0], exclude_self=True) == (1, 1.0)
+def test_query_distances_match_brute_force_on_voxel_ties(rng):
+    cloud = random_voxel_cloud(rng, n=400, bit_depth=5)
+    queries = cloud.points + 0.5  # half-voxel shift: several voxels equidistant
+    d = pairwise_distances(queries, cloud.points)
+    assert ((d == d.min(axis=1, keepdims=True)).sum(axis=1) > 1).any()  # ties occur
+    idx, dists = NeighborIndex(cloud).query(queries)
+    _, want_d = nn_brute(queries, cloud.points)
+    assert np.array_equal(dists, want_d)
+    # whichever equidistant point the tree picked, it is at that distance
+    assert np.array_equal(d[np.arange(len(queries)), idx], want_d)
 
 
 def test_self_excluded_neighbors_matches_brute_force(rng):
@@ -93,6 +72,14 @@ def test_self_excluded_neighbors_with_coincident_duplicates():
     assert (dists[:5] == 0.0).all()
 
 
+def test_self_excluded_neighbors_all_coincident():
+    # every point coincident: each row still leaves out its own index
+    idx, dists = NeighborIndex(PointCloud(np.zeros((5, 3)))).self_excluded_neighbors(3)
+    assert 2 not in idx[2]
+    assert not (idx == np.arange(5)[:, None]).any()
+    np.testing.assert_array_equal(dists, np.zeros((5, 3)))
+
+
 def test_self_excluded_neighbors_k_bounds():
     index = NeighborIndex(PointCloud(np.zeros((4, 3))))
     with pytest.raises(ValueError):
@@ -101,39 +88,9 @@ def test_self_excluded_neighbors_k_bounds():
         index.self_excluded_neighbors(4)  # needs k + 1 <= n
 
 
-def test_k_neighborhood_on_grid():
+def test_grid_centre_row_sits_one_spacing_away():
     cloud = integer_grid(5)
-    index = build_index(cloud)
     center = len(cloud) // 2  # (2, 2, 2), the exact middle of the 5-cube
-    hood = k_neighborhood(index, center, 6)
-    assert len(hood) == 6
-    assert hood.center_index == center
-    assert center not in hood.neighbor_indices
-    np.testing.assert_array_equal(hood.distances, np.ones(6))
-    assert (np.diff(hood.distances) >= 0).all()
-
-
-def test_k_neighborhood_validates_arguments():
-    index = build_index(PointCloud(np.zeros((3, 3))))
-    with pytest.raises(ValueError):
-        k_neighborhood(index, 3, 1)
-    with pytest.raises(ValueError):
-        k_neighborhood(index, -1, 1)
-    with pytest.raises(ValueError):
-        k_neighborhood(index, 0, 3)
-
-
-def test_k_neighborhood_with_duplicates():
-    pts = np.zeros((5, 3))  # all coincident
-    hood = k_neighborhood(build_index(PointCloud(pts)), 2, 3)
-    assert 2 not in hood.neighbor_indices
-    np.testing.assert_array_equal(hood.distances, np.zeros(3))
-
-
-def test_neighborhood_coerces_array_types():
-    from pcqa import Neighborhood
-
-    hood = Neighborhood(0, [1, 2], [0.5, 1.5])
-    assert hood.neighbor_indices.dtype == np.intp
-    assert hood.distances.dtype == np.float64
-    assert len(hood) == 2
+    idx, dists = NeighborIndex(cloud).self_excluded_neighbors(6)
+    assert center not in idx[center]
+    np.testing.assert_array_equal(dists[center], np.ones(6))

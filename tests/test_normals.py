@@ -2,7 +2,16 @@ import numpy as np
 import pytest
 
 import pcqa.normals
-from pcqa import NeighborIndex, PointCloud, estimate_normals, gaussian_jitter, normal_vectors
+from pcqa import (
+    ErrorKind,
+    NeighborIndex,
+    PeakSpec,
+    PointCloud,
+    estimate_normals,
+    gaussian_jitter,
+    normal_vectors,
+    psnr,
+)
 from shapes import fibonacci_sphere, planar_grid, voxelized_sphere
 
 
@@ -41,13 +50,20 @@ def test_degenerate_neighborhoods_are_flagged_and_warned():
     pts = np.zeros((8, 3))
     pts[6:] = [[5.0, 0.0, 0.0], [5.0, 1.0, 0.0]]
     # the six coincident points see only each other for k=3
-    normals, degenerate = normal_vectors(PointCloud(pts), k=3)
+    with pytest.warns(RuntimeWarning, match="degenerate"):
+        normals, degenerate = normal_vectors(PointCloud(pts), k=3)
     assert degenerate[:6].all()
     np.testing.assert_array_equal(normals[:6], np.tile([0.0, 0.0, 1.0], (6, 1)))
 
     with pytest.warns(RuntimeWarning, match="degenerate"):
         cloud = estimate_normals(PointCloud(pts), k=3)
     assert cloud.has_normals
+
+    # po2pl scoring estimates the same normals, and the warning names the scorer
+    with pytest.warns(RuntimeWarning, match="degenerate") as caught:
+        psnr(PointCloud(pts), PointCloud(pts + 0.5), ErrorKind.PO2PL, PeakSpec.largest_diagonal(),
+             normal_k=3)
+    assert caught[0].filename.endswith("metrics.py")
 
 
 def test_collinear_points_get_a_perpendicular_normal():
