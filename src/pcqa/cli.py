@@ -36,7 +36,6 @@ from .evaluation import (
 from .metrics import (
     DEFAULT_ESTIMATOR_K,
     ErrorKind,
-    PeakKind,
     PeakSpec,
     ResolutionEstimator,
     ZeroPeakError,
@@ -105,8 +104,7 @@ def cmd_compare(args) -> int:
 
     ref = read_ply(args.ref)
     deg = read_ply(args.deg)
-    needs_bits = peak.kind is PeakKind.PRECISION or peak.density_adaptive
-    ref = _resolve_bit_depth(ref, args.bitdepth, needs_bits)
+    ref = _resolve_bit_depth(ref, args.bitdepth, peak.needs_bit_depth)
 
     result = psnr(ref, deg, kind, peak, pooling=pooling, normal_k=args.normal_k)
 

@@ -46,6 +46,8 @@ class PointCloud:
                 raise ValueError(
                     f"normals shape {normals.shape} does not match points shape {self.points.shape}"
                 )
+            if not np.isfinite(normals).all():
+                raise ValueError("normals must be finite")
             norms = np.linalg.norm(normals, axis=1)
             if not np.all(np.abs(norms - 1.0) <= UNIT_NORMAL_TOL):
                 worst = float(np.abs(norms - 1.0).max()) if norms.size else 0.0

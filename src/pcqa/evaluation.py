@@ -20,7 +20,6 @@ from .cloud import PointCloud, infer_bit_depth
 from .metrics import (
     DEFAULT_ESTIMATOR_K,
     ErrorKind,
-    PeakKind,
     PeakSpec,
     PreparedCloud,
     ResolutionEstimator,
@@ -97,24 +96,6 @@ class CorrelationReport:
             "mos": list(self.mos),
             "predicted_mos": list(self.predicted_mos),
         }
-
-    @classmethod
-    def from_dict(cls, record: dict) -> "CorrelationReport":
-        return cls(
-            group=record["group"],
-            error_kind=ErrorKind(record["error_kind"]),
-            peak=PeakSpec.parse(record["peak"], record["k"]),
-            n=int(record["n"]),
-            coefficients=tuple(record["coefficients"]),
-            stimulus_ids=tuple(record["stimulus_ids"]),
-            objective=tuple(record["objective"]),
-            mos=tuple(record["mos"]),
-            predicted_mos=tuple(record["predicted_mos"]),
-            plcc=record["plcc"],
-            srocc=record["srocc"],
-            monotone_fit=record["monotone_fit"],
-            excluded_infinite=int(record["excluded_infinite"]),
-        )
 
 
 def _fit_powers(quartic: bool) -> tuple[int, ...]:
@@ -328,9 +309,7 @@ def benchmark_scores(
         raise ValueError("manifest is empty")
     if not metrics:
         raise ValueError("no metric variants given")
-    needs_bits = any(
-        peak.kind is PeakKind.PRECISION or peak.density_adaptive for _, peak in metrics
-    )
+    needs_bits = any(peak.needs_bit_depth for _, peak in metrics)
 
     references: dict[str, PreparedCloud] = {}
     scores = np.empty((len(manifest), len(metrics)), dtype=np.float64)
@@ -446,16 +425,6 @@ def variant_from_string(text: str) -> MetricVariant:
     except ValueError as exc:
         raise ValueError(f"metric {text!r}: {exc}") from None
     return kind, peak
-
-
-def variant_to_string(variant: MetricVariant) -> str:
-    kind, peak = variant
-    parts = [kind.value, peak.estimator.value if peak.estimator else peak.kind.value]
-    if peak.k is not None:
-        parts.append(str(peak.k))
-    if peak.density_adaptive:
-        parts.append("ra")
-    return ":".join(parts)
 
 
 def full_variant_matrix(k: int = DEFAULT_ESTIMATOR_K) -> list[MetricVariant]:

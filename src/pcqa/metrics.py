@@ -111,6 +111,11 @@ class PeakSpec:
         return cls(PeakKind.RENDERING, ResolutionEstimator.APD_K, k, density_adaptive)
 
     @property
+    def needs_bit_depth(self) -> bool:
+        """Whether the peak reads the reference's coordinate precision."""
+        return self.kind is PeakKind.PRECISION or self.density_adaptive
+
+    @property
     def label(self) -> str:
         """Short flag-style name, e.g. 'precision', 'annk', 'ra-apdk'."""
         if self.kind in (PeakKind.PRECISION, PeakKind.LARGEST_DIAGONAL):
@@ -165,14 +170,6 @@ class MetricResult:
     normals_b: str = "unused"
 
     @property
-    def infinite_ab(self) -> bool:
-        return self.mse_ab == 0.0
-
-    @property
-    def infinite_ba(self) -> bool:
-        return self.mse_ba == 0.0
-
-    @property
     def infinite_quality(self) -> bool:
         return math.isinf(self.psnr_pooled)
 
@@ -199,27 +196,6 @@ class MetricResult:
             "psnr_db": db(self.psnr_pooled),
             "infinite_quality": self.infinite_quality,
         }
-
-    @classmethod
-    def from_dict(cls, record: dict) -> "MetricResult":
-        def db(value):
-            return math.inf if value is None else float(value)
-
-        return cls(
-            psnr_ab=db(record["psnr_ab_db"]),
-            psnr_ba=db(record["psnr_ba_db"]),
-            psnr_pooled=db(record["psnr_db"]),
-            mse_ab=float(record["mse_ab"]),
-            mse_ba=float(record["mse_ba"]),
-            peak_value=float(record["peak_value"]),
-            error_kind=ErrorKind(record["error"]),
-            peak=PeakSpec.parse(record["peak"], record["k"]),
-            pooling=record["pooling"],
-            bit_depth=record["bit_depth"],
-            normal_k=record["normal_k"],
-            normals_a=record["normals_a"],
-            normals_b=record["normals_b"],
-        )
 
 
 def _require_points(cloud: PointCloud, what: str) -> None:
@@ -249,10 +225,6 @@ class PreparedCloud:
     def graph(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Self-excluded k nearest neighbors of every point: (indices, distances)."""
         if k not in self._graphs:
-            _require_points(self.cloud, "input")
-            if len(self.cloud) < k + 1:
-                raise ValueError(f"cloud of {len(self.cloud)} points is too small for k={k} "
-                                 "(need k+1 points)")
             self._graphs[k] = self.index.self_excluded_neighbors(k)
         return self._graphs[k]
 
@@ -261,8 +233,8 @@ class PreparedCloud:
         """The cloud's own normals, or PCA normals from ``graph(normal_k)``."""
         if self.cloud.has_normals:
             return self.cloud.normals
-        k = self.normal_k  # an invalid k is left to the estimator to report
-        idx = self.graph(k)[0] if 3 <= k < len(self.cloud) else None
+        k = self.normal_k  # a k below 3 is left to the estimator to report
+        idx = self.graph(k)[0] if k >= 3 else None
         return _normals.normal_vectors(self.cloud, k, neighbors=idx)[0]
 
     def apd_mean_square(self, k: int) -> float:
@@ -295,7 +267,22 @@ class PreparedCloud:
             self._resolutions[estimator, k] = float(value)
         return self._resolutions[estimator, k]
 
-    def peak_numerator(self, peak: PeakSpec) -> tuple[float, float]:
+    def nearest(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """For every query point: (squared distance to, index of) its nearest
+        point of this cloud.  Every correspondence in pcqa comes from here."""
+        idx, dists = self.index.query(points)
+        return dists * dists, idx
+
+    def peak_numerators(self, peaks) -> dict[PeakSpec, tuple[float, float]]:
+        """``_peak_numerator`` of each peak.  Larger k go first, so that the
+        distance-only estimators cut an existing graph; the graphs are dropped
+        afterwards, while the normals and resolution values stay."""
+        specs = sorted(dict.fromkeys(peaks), key=lambda p: -(p.k or 1))
+        out = {peak: self._peak_numerator(peak) for peak in specs}
+        self._graphs.clear()
+        return out
+
+    def _peak_numerator(self, peak: PeakSpec) -> tuple[float, float]:
         """Peak value and PSNR numerator with this cloud as the reference.
 
         Numerators by peak: 3*p_c**2 for precision, the squared diagonal for
@@ -305,7 +292,7 @@ class PreparedCloud:
         missing.
         """
         bit_depth = self.cloud.bit_depth
-        if (peak.kind is PeakKind.PRECISION or peak.density_adaptive) and bit_depth is None:
+        if peak.needs_bit_depth and bit_depth is None:
             raise ValueError(
                 f"{'precision peak' if peak.kind is PeakKind.PRECISION else 'RA-PSNR'} "
                 "requires a known bit depth on the reference cloud"
@@ -334,13 +321,11 @@ def nn_squared_errors(a: PointCloud, b: PointCloud) -> tuple[np.ndarray, np.ndar
     clouds yield all-zero errors."""
     _require_points(a, "source")
     _require_points(b, "target")
-    idx, dists = NeighborIndex(b).query(a.points)
-    return dists * dists, idx
+    return PreparedCloud(b).nearest(a.points)
 
 
 def _mean_squared_errors(a: PointCloud, b: PreparedCloud, po2pl: bool) -> dict[ErrorKind, float]:
-    idx, dists = b.index.query(a.points)
-    sq = dists * dists
+    sq, idx = b.nearest(a.points)
     out = {ErrorKind.PO2PO: float(sq.mean())}
     if po2pl:
         errors = a.points - b.cloud.points[idx]
@@ -416,20 +401,16 @@ def apd_k(
     k: int = DEFAULT_ESTIMATOR_K,
     *,
     normal_k: int = DEFAULT_NORMAL_K,
-    root: bool = True,
 ) -> float:
     """Rendering resolution: RMS tangent-plane distance to k nearest neighbors.
 
     Each neighbor offset is projected onto the tangent plane at its center
     point before squaring, modeling the spacing an observer sees after
     point-based rendering.  Normals are taken from the cloud or estimated
-    with ``normal_k`` neighbors when absent.  ``root=False`` skips the outer
-    square root and returns the raw squared-average form (a squared length,
-    kept for comparison; the rooted form is dimensionally consistent with
-    the plain k-neighborhood RMS estimator and is what RA-PSNR consumes).
+    with ``normal_k`` neighbors when absent.  The outer square root makes it
+    dimensionally consistent with the plain k-neighborhood RMS estimator.
     """
-    prepared = PreparedCloud(cloud, normal_k)
-    return prepared.resolution(ResolutionEstimator.APD_K, k) if root else prepared.apd_mean_square(k)
+    return PreparedCloud(cloud, normal_k).resolution(ResolutionEstimator.APD_K, k)
 
 
 def density_coefficient(bit_depth: int, r: float) -> float:
@@ -458,11 +439,7 @@ def _db(numerator: float, mse: float) -> float:
 
 
 def _pool(psnr_ab: float, psnr_ba: float, pooling: str) -> float:
-    if pooling == "max":
-        return max(psnr_ab, psnr_ba)
-    if pooling == "min":
-        return min(psnr_ab, psnr_ba)
-    raise ValueError(f"pooling must be one of {POOLING_MODES}, got {pooling!r}")
+    return max(psnr_ab, psnr_ba) if pooling == "max" else min(psnr_ab, psnr_ba)
 
 
 def _normals_source(cloud: PointCloud, used: bool) -> str:
@@ -485,19 +462,15 @@ def score_variants(
     _require_points(ref.cloud, "reference")
     _require_points(deg.cloud, "degraded")
 
-    # normals first, as their errors come first; then peaks with larger k
-    # first, so that the distance-only estimators cut an existing graph
+    # normals first, as their errors come first; then the peaks
     po2pl = any(kind is ErrorKind.PO2PL for kind, _ in variants)
     if po2pl or any(peak.estimator is ResolutionEstimator.APD_K for _, peak in variants):
         _ = ref.normals
     if po2pl:
         _ = deg.normals
-    specs = sorted(dict.fromkeys(peak for _, peak in variants), key=lambda p: -(p.k or 1))
-    peaks = {peak: ref.peak_numerator(peak) for peak in specs}
+    peaks = ref.peak_numerators(peak for _, peak in variants)
     mse_ab = _mean_squared_errors(ref.cloud, deg, po2pl)
     mse_ba = _mean_squared_errors(deg.cloud, ref, po2pl)
-    # the graphs served the normals and peaks, which stay; a benchmark keeps ref to the end
-    ref._graphs.clear()
 
     results = []
     for kind, peak in variants:
@@ -573,12 +546,7 @@ def ra_psnr(
             f"RA-PSNR estimator must be one of {[e.value for e in _RA_ESTIMATORS]}; "
             "for MNN build a PeakSpec directly"
         )
-    if estimator is ResolutionEstimator.ANN:
-        peak = PeakSpec.intrinsic(estimator, density_adaptive=True)
-    elif estimator is ResolutionEstimator.ANN_K:
-        peak = PeakSpec.intrinsic(estimator, k, density_adaptive=True)
-    else:
-        peak = PeakSpec.rendering(k, density_adaptive=True)
+    peak = PeakSpec.parse(f"ra-{estimator.value}", k)
     result = psnr(a, b, kind, peak, pooling=pooling, normal_k=normal_k)
     if not via_density_coefficient:
         return result

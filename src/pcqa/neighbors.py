@@ -5,7 +5,8 @@ is built, so importing pcqa loads numpy only.  All queries are exact, so
 results match an exhaustive scan up to the ordering of equidistant
 neighbors.  Every lookup is one batch query on the cloud's one tree, and it
 keeps ``cKDTree``'s pick among equidistant points; a documented tie rule is
-still open (ROADMAP item 2).
+still open (ROADMAP item 1).  This class holds the only size checks of a
+kNN graph: k against the cloud's size, and the empty cloud.
 """
 
 from __future__ import annotations
@@ -46,8 +47,10 @@ class NeighborIndex:
         removed from its row.
         """
         n = len(self)
-        if not 1 <= k <= n - 1:
-            raise ValueError(f"k must be in [1, {n - 1}] for self-excluded queries, got {k}")
+        if k < 1:
+            raise ValueError(f"self-excluded queries need k >= 1, got {k}")
+        if n < k + 1:
+            raise ValueError(f"cloud of {n} points is too small for k={k} (need k+1 points)")
         dists, idx = self._tree.query(self.cloud.points, k=k + 1, workers=-1)
         # Column 0, usually the point itself, is dropped; rows where a duplicate
         # precedes it are shifted first.  A row of k+1 coincident duplicates may

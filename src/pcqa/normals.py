@@ -63,12 +63,10 @@ def normal_vectors(
     """
     if k < 3:
         raise ValueError(f"normal estimation needs k >= 3, got {k}")
-    n = len(cloud)
-    if n < k + 1:
-        raise ValueError(f"cloud of {n} points is too small for normal estimation with k={k}")
     if neighbors is None:
         neighbors, _ = NeighborIndex(cloud).self_excluded_neighbors(k)
 
+    n = len(cloud)
     normals = np.empty((n, 3))
     degenerate = np.empty(n, dtype=bool)
     for start in range(0, n, BLOCK_ROWS):

@@ -174,12 +174,13 @@ def _wanted_columns(vertex: _Element) -> list[int]:
 
 
 def _renormalize(normals: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(normals, axis=1)
-    bad = norms == 0.0
+    with np.errstate(over="ignore"):  # a length past the float64 range reads as inf
+        norms = np.linalg.norm(normals, axis=1)
+    bad = ~(np.isfinite(norms) & (norms > 0.0))
     if bad.any():
-        raise PlyParseError(
-            f"zero-length normal on vertex {int(np.flatnonzero(bad)[0])}; cannot renormalize"
-        )
+        i = int(np.flatnonzero(bad)[0])
+        what = "zero" if norms[i] == 0.0 else "non-finite"
+        raise PlyParseError(f"{what}-length normal on vertex {i}; cannot renormalize")
     return normals / norms[:, None]
 
 
@@ -192,7 +193,7 @@ def _ascii_vertices_by_block(lines: list[str], vertex: _Element, cols: list[int]
     """
     ncols = len(vertex.properties)
     widths = [n for n in map(len, map(str.split, lines)) if n]
-    if widths != [ncols] * vertex.count:
+    if len(widths) != vertex.count or widths.count(ncols) != vertex.count:
         return None
     rows = [line for line in lines if line.strip()]
     data = np.empty((vertex.count, len(cols)), dtype=np.float64)
@@ -233,7 +234,8 @@ def _ascii_vertices_by_line(lines: list[str], elements, header_lines: int, cols)
             for i in range(element.count):
                 next_row(ncols, f"{element.name} row {i}")
             continue
-        data = np.empty((element.count, len(cols)), dtype=np.float64)
+        # no more rows than lines remain: a header count alone allocates nothing
+        data = np.empty((min(element.count, len(lines) - cursor), len(cols)), dtype=np.float64)
         for i in range(element.count):
             row = next_row(ncols, f"vertex {i}")
             try:
@@ -266,26 +268,19 @@ def _read_binary_body(stream, elements, cols) -> np.ndarray:
     return data
 
 
-def read_ply(source, format: str | None = None) -> PointCloud:
+def read_ply(source) -> PointCloud:
     """Read a point cloud from a PLY file.
 
-    ``source`` may be a path, bytes, or a binary file object.  ``format``
-    optionally pins the expected encoding ("ascii" or "binary-le"); a
-    mismatch with the file's own format line is an error.  The returned
+    ``source`` may be a path, bytes, or a binary file object.  The returned
     cloud has ``bit_depth`` unset; callers supply or infer it.
     """
     if isinstance(source, (str, os.PathLike)):
         with open(source, "rb") as fh:
-            return read_ply(fh, format=format)
+            return read_ply(fh)
     if isinstance(source, (bytes, bytearray)):
-        return read_ply(io.BytesIO(source), format=format)
+        return read_ply(io.BytesIO(source))
 
     fmt, elements, header_lines = _parse_header(source)
-    if format is not None:
-        if format not in (ASCII, BINARY_LE):
-            raise ValueError(f"format must be {ASCII!r} or {BINARY_LE!r}, got {format!r}")
-        if format != fmt:
-            raise PlyParseError(f"file is {fmt!r} but {format!r} was requested")
     vertex = _vertex_element(elements)
     cols = _wanted_columns(vertex)  # validates x/y/z presence before touching the body
 

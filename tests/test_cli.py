@@ -7,8 +7,10 @@ import sys
 import numpy as np
 import pytest
 
-from pcqa import ErrorKind, MetricResult, PeakSpec, PointCloud, psnr, read_ply, write_ply
+from pcqa import ErrorKind, PeakSpec, PointCloud, psnr, read_ply, run_benchmark, write_ply
+from pcqa.evaluation import read_manifest, variant_from_string
 from shapes import integer_grid, random_voxel_cloud
+from test_ply import NON_FINITE_NORMALS, ascii_ply
 
 
 def run_cli(*args, cwd=None):
@@ -44,10 +46,22 @@ def test_compare_jsonl_round_trips_to_the_library_result(pair):
                    "--peak", "precision", "--format", "jsonl")
     assert proc.returncode == 0, proc.stderr
     record = json.loads(proc.stdout)
-    rebuilt = MetricResult.from_dict(record)
     direct = psnr(read_ply(ref).with_bit_depth(6), read_ply(deg),
                   ErrorKind.PO2PO, PeakSpec.precision())
-    assert rebuilt == direct
+    assert record == json.loads(json.dumps(direct.to_dict()))
+
+
+@pytest.mark.parametrize("name", [*sorted(NON_FINITE_NORMALS), "vertex-count-1e11"])
+def test_damaged_ply_exits_4_with_one_error_line(tmp_path, name):
+    path = tmp_path / "damaged.ply"
+    if name in NON_FINITE_NORMALS:
+        path.write_bytes(NON_FINITE_NORMALS[name])
+    else:
+        path.write_bytes(ascii_ply(["0 0 0", "1 0 0"], count=10**11))
+    proc = run_cli("resolution", "--ref", path)
+    assert proc.returncode == 4
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("pcqa: error[parse]: ")
 
 
 def test_compare_self_is_infinite_quality_and_exit_zero(pair):
@@ -216,10 +230,9 @@ def test_benchmark_jsonl_output(tmp_path, manifest):
     assert proc.returncode == 0, proc.stderr
     lines = [json.loads(line) for line in proc.stdout.splitlines()]
     assert [r["group"] for r in lines] == ["noise", "All"]
-    from pcqa import CorrelationReport
-
-    rebuilt = CorrelationReport.from_dict(lines[0])
-    assert rebuilt.peak.label == "ld" and rebuilt.n == 5
+    direct = run_benchmark(read_manifest(manifest), [variant_from_string("po2po:ld")])
+    assert lines == [json.loads(json.dumps(r.to_dict())) for r in direct]
+    assert lines[0]["peak"] == "ld" and lines[0]["n"] == 5
 
 
 def test_benchmark_default_metric_set_is_the_full_matrix(tmp_path, manifest):

@@ -44,6 +44,13 @@ def test_normals_must_be_unit_and_match_shape():
         PointCloud(pts, normals=unit_z[:1])
 
 
+def test_rejects_non_finite_normals():
+    pts = np.zeros((2, 3))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="normals must be finite"):
+            PointCloud(pts, normals=[[0.0, 0.0, 1.0], [bad, 0.0, 0.0]])
+
+
 def test_normals_unit_tolerance_is_tight_but_not_exact():
     pts = np.zeros((1, 3))
     almost = np.array([[0.0, 0.0, 1.0 + 5e-10]])

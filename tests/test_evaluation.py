@@ -30,7 +30,6 @@ from pcqa.evaluation import (
     fit_is_monotone,
     full_variant_matrix,
     variant_from_string,
-    variant_to_string,
 )
 from shapes import random_voxel_cloud
 
@@ -236,11 +235,17 @@ def test_stimulus_record_validates_mos_range():
 
 
 def test_variant_string_round_trip():
-    for text in ("po2po:precision", "po2pl:ld", "po2po:mnn", "po2pl:annk:5",
-                 "po2pl:apdk:10:ra", "po2po:ann:ra"):
-        variant = variant_from_string(text)
-        assert variant_to_string(variant) == text
-        assert variant_from_string(variant_to_string(variant)) == variant
+    expected = {
+        "po2po:precision": (ErrorKind.PO2PO, PeakSpec.precision()),
+        "po2pl:ld": (ErrorKind.PO2PL, PeakSpec.largest_diagonal()),
+        "po2po:mnn": (ErrorKind.PO2PO, PeakSpec.intrinsic(ResolutionEstimator.MNN)),
+        "po2pl:annk:5": (ErrorKind.PO2PL, PeakSpec.intrinsic(ResolutionEstimator.ANN_K, 5)),
+        "po2pl:apdk:10:ra": (ErrorKind.PO2PL, PeakSpec.rendering(10, density_adaptive=True)),
+        "po2po:ann:ra": (ErrorKind.PO2PO,
+                         PeakSpec.intrinsic(ResolutionEstimator.ANN, density_adaptive=True)),
+    }
+    for text, variant in expected.items():
+        assert variant_from_string(text) == variant
 
 
 def test_variant_string_errors():
@@ -411,8 +416,7 @@ def test_report_files(tmp_path, ladder):
 
     payload = json.loads(json_path.read_text())
     assert payload["config"] == {"pooling": "max"}
-    rebuilt = [CorrelationReport.from_dict(r) for r in payload["reports"]]
-    assert rebuilt == list(reports)
+    assert payload["reports"] == [json.loads(json.dumps(r.to_dict())) for r in reports]
 
 
 def test_csv_uses_six_significant_digits(tmp_path):

@@ -1,5 +1,6 @@
-"""Package layout: modules share only public names, and ``pcqa.__all__``
-lists each exported name once, every one of them defined."""
+"""Package layout: modules share only public names, objects share only
+public attributes, kd-trees are built in two places only, and
+``pcqa.__all__`` lists each exported name once, every one of them defined."""
 
 import ast
 from collections import Counter
@@ -39,6 +40,44 @@ def _private_uses(path: Path) -> list[str]:
 def test_modules_import_no_private_names():
     assert len(MODULES) > 5
     assert [use for path in MODULES for use in _private_uses(path)] == []
+
+
+def _scoped_nodes(path: Path):
+    """Every AST node of a module with the dotted name of the class or
+    function that encloses it ("" at module level)."""
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            yield child, inner
+            yield from walk(child, inner)
+
+    yield from walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), "")
+
+
+# a cloud gets one tree, in PreparedCloud; normal_vectors builds one only
+# when it is called on a bare cloud without neighbors
+INDEX_BUILDERS = {("metrics.py", "PreparedCloud.index"), ("normals.py", "normal_vectors")}
+
+
+def test_neighbor_index_is_built_in_two_places_only():
+    builders = [
+        (path.name, scope) for path in MODULES for node, scope in _scoped_nodes(path)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "NeighborIndex"
+    ]
+    assert sorted(builders) == sorted(INDEX_BUILDERS)
+
+
+def test_private_attributes_are_used_only_off_self_or_cls():
+    found = [
+        f"{path.name}:{node.lineno} in {scope or 'module'} uses .{node.attr}"
+        for path in MODULES for node, scope in _scoped_nodes(path)
+        if isinstance(node, ast.Attribute) and _is_private(node.attr)
+        and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))
+    ]
+    assert found == []
 
 
 def test_every_export_is_defined_once():

@@ -207,13 +207,6 @@ def test_apd_never_exceeds_distance_rms(rng):
         assert apd_k(cloud, k) <= ann_k(cloud, k) + 1e-15
 
 
-def test_apd_root_switch():
-    cloud = planar_grid(8)
-    rooted = apd_k(cloud, 4)
-    raw = apd_k(cloud, 4, root=False)
-    assert raw == pytest.approx(rooted**2, rel=1e-12)
-
-
 def test_resolution_dispatch(rng):
     cloud = estimate_normals(random_cloud(rng, n=80), k=8)
     assert resolution(cloud, ResolutionEstimator.MNN) == mnn(cloud)
@@ -339,21 +332,9 @@ def test_identical_clouds_have_infinite_quality(rng):
     cloud = random_voxel_cloud(rng, n=150, bit_depth=6)
     result = psnr(cloud, cloud, ErrorKind.PO2PO, PeakSpec.precision())
     assert math.isinf(result.psnr_pooled)
-    assert result.infinite_ab and result.infinite_ba and result.infinite_quality
+    assert result.mse_ab == 0.0 and result.mse_ba == 0.0 and result.infinite_quality
     record = result.to_dict()
     assert record["psnr_db"] is None and record["infinite_quality"] is True
-
-
-def test_metric_result_dict_round_trip(rng):
-    ref = random_voxel_cloud(rng, n=150, bit_depth=6)
-    deg = PointCloud(ref.points + rng.normal(0.0, 0.4, size=ref.points.shape))
-    for result in (
-        psnr(ref, deg, ErrorKind.PO2PL, PeakSpec.rendering(10, density_adaptive=True)),
-        psnr(ref, ref, ErrorKind.PO2PO, PeakSpec.precision()),  # infinite case
-    ):
-        from pcqa import MetricResult
-
-        assert MetricResult.from_dict(result.to_dict()) == result
 
 
 def test_zero_peak_raises():

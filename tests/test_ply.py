@@ -1,4 +1,6 @@
 import io
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -59,6 +61,33 @@ def test_zero_length_normal_is_an_error():
         read_ply(data)
 
 
+NORMAL_PROPS = ("x", "y", "z", "nx", "ny", "nz")
+
+
+def binary_float32_ply(rows, props=NORMAL_PROPS):
+    header = ["ply", "format binary_little_endian 1.0", f"element vertex {len(rows)}"]
+    header += [f"property float {p}" for p in props] + ["end_header"]
+    return ("\n".join(header) + "\n").encode("ascii") + np.array(rows, dtype="<f4").tobytes()
+
+
+# one file per way a normal can have no length: past the float64 range, NaN,
+# inf in float32, and finite components whose length overflows
+NON_FINITE_NORMALS = {
+    "ascii-1e400": ascii_ply(["0 0 0 0 0 1", "1 0 0 1e400 0 0"], props=NORMAL_PROPS),
+    "ascii-nan": ascii_ply(["0 0 0 0 0 1", "1 0 0 nan 0 0"], props=NORMAL_PROPS),
+    "binary-f32-inf": binary_float32_ply([[0, 0, 0, 0, 0, 1], [1, 0, 0, np.inf, 0, 0]]),
+    "ascii-1e200-overflow": ascii_ply(["0 0 0 0 0 1", "1 0 0 1e200 1e200 0"], props=NORMAL_PROPS),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_FINITE_NORMALS))
+def test_non_finite_normal_is_a_parse_error_naming_the_vertex(name):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy warning may escape the reader
+        with pytest.raises(PlyParseError, match="non-finite-length normal on vertex 1;"):
+            read_ply(NON_FINITE_NORMALS[name])
+
+
 def test_extra_properties_and_elements_are_skipped():
     lines = [
         "ply",
@@ -117,14 +146,6 @@ def test_write_empty_cloud_round_trips(tmp_path):
 def test_write_rejects_unknown_format(tmp_path):
     with pytest.raises(ValueError):
         write_ply(PointCloud([[0.0, 0.0, 0.0]]), tmp_path / "x.ply", format="big-endian")
-
-
-def test_format_pin_mismatch():
-    with pytest.raises(PlyParseError, match="requested"):
-        read_ply(SIMPLE, format=BINARY_LE)
-    assert len(read_ply(SIMPLE, format=ASCII)) == 3
-    with pytest.raises(ValueError):
-        read_ply(SIMPLE, format="utf-16")
 
 
 def test_binary_vertices_parse_mixed_property_types():
@@ -205,6 +226,20 @@ def test_ascii_body_errors_carry_line_numbers():
     with pytest.raises(PlyParseError, match="expected 3 values") as exc_info:
         read_ply(wrong_arity)
     assert exc_info.value.line == 9
+
+
+def test_header_vertex_count_allocates_nothing_before_the_rows_exist():
+    data = ascii_ply(["0 0 0", "1 0 0"], count=20_000_000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(PlyParseError, match=r"truncated body: missing vertex 2 \(line 10\)"):
+            read_ply(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    with pytest.raises(PlyParseError, match=r"truncated body: missing vertex 2 \(line 10\)"):
+        read_ply(ascii_ply(["0 0 0", "1 0 0"], count=10**11))
 
 
 def test_binary_truncation_reports_byte_offset():

@@ -1,6 +1,8 @@
 """The prepared-cloud pipeline: one kd-tree per cloud, one kNN graph per k,
 built lazily, and results that do not depend on how the work is shared."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.spatial
@@ -132,7 +134,7 @@ def test_prepared_values_equal_the_standalone_functions(rng):
     cloud = random_cloud(rng, n=400)
     prepared = PreparedCloud(cloud, normal_k=8)
     assert prepared.resolution(ResolutionEstimator.APD_K, 6) == apd_k(cloud, 6, normal_k=8)
-    assert prepared.apd_mean_square(6) == apd_k(cloud, 6, normal_k=8, root=False)
+    assert apd_k(cloud, 6, normal_k=8) == math.sqrt(prepared.apd_mean_square(6))
     assert np.array_equal(prepared.normals, estimate_normals(cloud, k=8).normals)
 
 
@@ -142,11 +144,11 @@ def test_block_size_does_not_change_any_bit(monkeypatch, block_rows):
     jittered = gaussian_jitter(cloud, 0.4, seed=1)
     assert len(cloud) % 7 and len(jittered) % 7
     want = [normal_vectors(c, k=10) for c in (cloud, jittered)]
-    want_apd = [apd_k(c, 10, root=False) for c in (cloud, jittered)]
+    want_apd = [PreparedCloud(c).apd_mean_square(10) for c in (cloud, jittered)]
 
     monkeypatch.setattr(pcqa.normals, "BLOCK_ROWS", block_rows)
     for c, (normals, degenerate), apd in zip((cloud, jittered), want, want_apd):
         got, got_degenerate = normal_vectors(c, k=10)
         assert np.array_equal(got, normals)
         assert np.array_equal(got_degenerate, degenerate)
-        assert apd_k(c, 10, root=False) == apd
+        assert PreparedCloud(c).apd_mean_square(10) == apd
