@@ -23,7 +23,7 @@ import math
 import os
 import sys
 
-from .cloud import infer_bit_depth
+from .cloud import UnknownBitDepth, require_bit_depth
 from .degrade import gaussian_jitter, octree_quantize
 from .evaluation import (
     full_variant_matrix,
@@ -82,17 +82,6 @@ def _peak_from_flags(peak: str, ra: bool | None, k: int) -> PeakSpec:
         raise UsageError(str(exc)) from None
 
 
-def _resolve_bit_depth(cloud, override: int | None, needed: bool):
-    if override is not None:
-        return cloud.with_bit_depth(override)
-    if not needed:
-        return cloud
-    try:
-        return cloud.with_bit_depth(infer_bit_depth(cloud))
-    except ValueError as exc:
-        raise UsageError(f"--bitdepth required: {exc}") from None
-
-
 def _db_str(value: float) -> str:
     return "inf" if math.isinf(value) else f"{value:.6f}"
 
@@ -104,7 +93,8 @@ def cmd_compare(args) -> int:
 
     ref = read_ply(args.ref)
     deg = read_ply(args.deg)
-    ref = _resolve_bit_depth(ref, args.bitdepth, peak.needs_bit_depth)
+    if peak.needs_bit_depth or args.bitdepth is not None:
+        ref = require_bit_depth(ref, args.bitdepth, args.ref)
 
     result = psnr(ref, deg, kind, peak, pooling=pooling, normal_k=args.normal_k)
 
@@ -317,6 +307,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except UsageError as exc:
         return _fail("usage", str(exc), EXIT_USAGE)
+    except UnknownBitDepth as exc:
+        return _fail("usage", f"--bitdepth required: {exc}", EXIT_USAGE)
     except FileNotFoundError as exc:
         return _fail("not-found", str(exc), EXIT_NOT_FOUND)
     except PlyParseError as exc:

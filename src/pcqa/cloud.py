@@ -48,7 +48,8 @@ class PointCloud:
                 )
             if not np.isfinite(normals).all():
                 raise ValueError("normals must be finite")
-            norms = np.linalg.norm(normals, axis=1)
+            with np.errstate(over="ignore"):  # an overflowing length reads as inf and fails below
+                norms = np.linalg.norm(normals, axis=1)
             if not np.all(np.abs(norms - 1.0) <= UNIT_NORMAL_TOL):
                 worst = float(np.abs(norms - 1.0).max()) if norms.size else 0.0
                 raise ValueError(f"normals must be unit length within {UNIT_NORMAL_TOL} (worst |err|={worst:g})")
@@ -99,6 +100,21 @@ def infer_bit_depth(cloud: PointCloud) -> int:
     while b > 1 and 2.0 ** (b - 1) - 1.0 >= hi:
         b -= 1
     return b
+
+
+class UnknownBitDepth(ValueError):
+    """A bit depth is needed, none was given, and none can be inferred."""
+
+
+def require_bit_depth(cloud: PointCloud, bit_depth: int | None, name: str) -> PointCloud:
+    """``cloud`` with ``bit_depth``, or with the depth inferred from it; when
+    neither is possible, UnknownBitDepth names the cloud by ``name``."""
+    if bit_depth is None:
+        try:
+            bit_depth = infer_bit_depth(cloud)
+        except ValueError as exc:
+            raise UnknownBitDepth(f"{name}: {exc}") from None
+    return cloud.with_bit_depth(bit_depth)
 
 
 def precision_peak(bit_depth: int) -> float:

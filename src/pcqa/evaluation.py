@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloud import PointCloud, infer_bit_depth
+from .cloud import PointCloud, require_bit_depth
 from .metrics import (
     DEFAULT_ESTIMATOR_K,
     ErrorKind,
@@ -26,7 +26,7 @@ from .metrics import (
     score_variants,
 )
 from .normals import DEFAULT_NORMAL_K
-from .ply import read_ply
+from .ply import PlyParseError, read_ply
 
 POOLED_GROUP = "All"
 MIN_GROUP_SIZE = 5  # a 4-parameter fit needs at least 5 samples
@@ -287,6 +287,9 @@ def _load_cloud(path: str, stimulus_id: str) -> PointCloud:
         return read_ply(path)
     except FileNotFoundError:
         raise FileNotFoundError(f"stimulus {stimulus_id!r}: file not found: {path}") from None
+    except PlyParseError as exc:
+        exc.args = (f"stimulus {stimulus_id!r}: {exc}",)  # .line and .byte stay
+        raise
 
 
 def benchmark_scores(
@@ -301,9 +304,9 @@ def benchmark_scores(
 
     References recurring across stimuli are loaded and prepared once, so each
     gets one kd-tree, one kNN graph per k, one set of normals and one value
-    per resolution estimate for the whole run.  When any variant needs the
-    coordinate precision it is taken from ``bit_depth`` or inferred from
-    each reference.
+    per resolution estimate for the whole run.  A variant that needs the
+    coordinate precision takes it from ``bit_depth`` or infers it from each
+    reference (``cloud.require_bit_depth``).
     """
     if not manifest:
         raise ValueError("manifest is empty")
@@ -318,7 +321,7 @@ def benchmark_scores(
         if ref is None:
             cloud = _load_cloud(stim.reference, stim.stimulus_id)
             if needs_bits:
-                cloud = cloud.with_bit_depth(bit_depth if bit_depth is not None else infer_bit_depth(cloud))
+                cloud = require_bit_depth(cloud, bit_depth, stim.reference)
             ref = references[stim.reference] = PreparedCloud(cloud, normal_k)
         deg = PreparedCloud(_load_cloud(stim.degraded, stim.stimulus_id), normal_k)
         scores[row] = [r.psnr_pooled for r in score_variants(ref, deg, metrics, pooling=pooling)]

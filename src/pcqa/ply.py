@@ -2,15 +2,17 @@
 
 Supports ASCII and binary little-endian PLY files.  The vertex element must
 carry numeric x, y, z properties; nx, ny, nz are consumed as normals when all
-three are present.  Every other property is skipped, and non-vertex elements
-are skipped wholesale.  Only fixed-size scalar properties are understood
-(float, double, uchar, int and their float32/float64/uint8/int32 aliases);
-list properties make an element unskippable and are rejected.
+three are present.  Other properties and elements are skipped, though ASCII
+rows are still width-checked: a parse error names the first faulty row in file
+order, and the file when read from a path.  Only fixed-size scalar properties
+(float, double, uchar, int and their float32/float64/uint8/int32 aliases) are
+understood; list properties make an element unskippable and are rejected.
 """
 
 from __future__ import annotations
 
 import io
+import itertools
 import os
 from dataclasses import dataclass
 
@@ -26,16 +28,16 @@ _FORMAT_LINES = {
     "binary_little_endian 1.0": BINARY_LE,
 }
 
-# PLY type name -> (numpy dtype, byte size); little-endian for binary bodies
+# PLY type name -> numpy dtype; little-endian for binary bodies
 _SCALAR_TYPES = {
-    "float": ("<f4", 4),
-    "float32": ("<f4", 4),
-    "double": ("<f8", 8),
-    "float64": ("<f8", 8),
-    "uchar": ("u1", 1),
-    "uint8": ("u1", 1),
-    "int": ("<i4", 4),
-    "int32": ("<i4", 4),
+    "float": "<f4",
+    "float32": "<f4",
+    "double": "<f8",
+    "float64": "<f8",
+    "uchar": "u1",
+    "uint8": "u1",
+    "int": "<i4",
+    "int32": "<i4",
 }
 
 _ASCII_BLOCK_ROWS = 1 << 16  # rows parsed or formatted per call, bounding token lists
@@ -176,75 +178,54 @@ def _wanted_columns(vertex: _Element) -> list[int]:
 def _renormalize(normals: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore"):  # a length past the float64 range reads as inf
         norms = np.linalg.norm(normals, axis=1)
-    bad = ~(np.isfinite(norms) & (norms > 0.0))
+    # below sqrt(tiny) the sum of squares has underflowed and the length is inexact
+    bad = ~(np.isfinite(norms) & (norms >= np.sqrt(np.finfo(np.float64).tiny)))
     if bad.any():
         i = int(np.flatnonzero(bad)[0])
-        what = "zero" if norms[i] == 0.0 else "non-finite"
+        what = "zero" if np.isfinite(norms[i]) else "non-finite"
         raise PlyParseError(f"{what}-length normal on vertex {i}; cannot renormalize")
     return normals / norms[:, None]
 
 
-def _ascii_vertices_by_block(lines: list[str], vertex: _Element, cols: list[int]) -> np.ndarray | None:
-    """The wanted vertex columns, parsed by numpy one block of rows at a time.
-
-    None unless the body is exactly ``vertex.count`` non-empty rows with one
-    number per property each; the per-line parser then handles the file and
-    names the offending line.
+def _ascii_vertices(lines: list[str], elements, header_lines: int, cols) -> np.ndarray:
+    """The wanted vertex columns of an ASCII body, whose non-empty lines are the
+    rows of each element in turn.  Vertex rows are parsed by numpy one block at
+    a time, wanted columns only.  An error names the first faulty row in file order.
     """
-    ncols = len(vertex.properties)
-    widths = [n for n in map(len, map(str.split, lines)) if n]
-    if len(widths) != vertex.count or widths.count(ncols) != vertex.count:
-        return None
-    rows = [line for line in lines if line.strip()]
-    data = np.empty((vertex.count, len(cols)), dtype=np.float64)
-    for start in range(0, vertex.count, _ASCII_BLOCK_ROWS):
-        block = rows[start:start + _ASCII_BLOCK_ROWS]
-        try:
-            values = np.array(" ".join(block).split(), dtype=np.float64)
-        except ValueError:
-            return None
-        data[start:start + len(block)] = values.reshape(len(block), ncols)[:, cols]
-    return data
-
-
-def _ascii_vertices_by_line(lines: list[str], elements, header_lines: int, cols) -> np.ndarray:
-    """The wanted vertex columns, parsed row by row through every element."""
-    cursor = 0  # index into lines
-    lineno = header_lines  # last consumed line number
-
-    def next_row(expected_tokens: int, what: str) -> list[str]:
-        nonlocal cursor, lineno
-        while cursor < len(lines) and not lines[cursor].strip():
-            cursor += 1
-            lineno += 1
-        if cursor >= len(lines):
-            raise PlyParseError(f"truncated body: missing {what}", line=lineno + 1)
-        row = lines[cursor].split()
-        cursor += 1
-        lineno += 1
-        if len(row) != expected_tokens:
-            raise PlyParseError(
-                f"expected {expected_tokens} values for {what}, got {len(row)}", line=lineno
-            )
-        return row
-
+    widths = np.fromiter(map(len, map(str.split, lines)), dtype=np.intp, count=len(lines))
+    row_lines = np.flatnonzero(widths)  # index into lines of each row
+    start = 0  # first row of the current element
     for element in elements:
         ncols = len(element.properties)
-        if element.name != "vertex":
-            for i in range(element.count):
-                next_row(ncols, f"{element.name} row {i}")
-            continue
-        # no more rows than lines remain: a header count alone allocates nothing
-        data = np.empty((min(element.count, len(lines) - cursor), len(cols)), dtype=np.float64)
-        for i in range(element.count):
-            row = next_row(ncols, f"vertex {i}")
-            try:
-                for j, c in enumerate(cols):
-                    data[i, j] = float(row[c])
-            except ValueError:
-                raise PlyParseError(
-                    f"non-numeric value {row[c]!r} in vertex {i}", line=lineno
-                ) from None
+        label = "vertex" if element.name == "vertex" else f"{element.name} row"
+        stop = min(start + element.count, len(row_lines))  # a header count alone allocates nothing
+        wrong = np.flatnonzero(widths[row_lines[start:stop]] != ncols)
+        end = start + int(wrong[0]) if wrong.size else stop  # rows before the first bad width
+        if element.name == "vertex":
+            data = np.empty((end - start, len(cols)), dtype=np.float64)
+            for first in range(start, end, _ASCII_BLOCK_ROWS):
+                last = min(first + _ASCII_BLOCK_ROWS, end)
+                tokens = " ".join(lines[row_lines[first]:row_lines[last - 1] + 1]).split()
+                try:
+                    for j, c in enumerate(cols):
+                        data[first - start:last - start, j] = np.array(tokens[c::ncols], dtype=np.float64)
+                except ValueError:  # find the token numpy rejected
+                    for i, c in itertools.product(range(first, last), cols):
+                        token = tokens[(i - first) * ncols + c]
+                        try:
+                            float(token)
+                        except ValueError:
+                            raise PlyParseError(f"non-numeric value {token!r} in vertex {i - start}",
+                                                line=header_lines + int(row_lines[i]) + 1) from None
+                    raise
+                del tokens  # release this block's tokens before the next is built
+        if end < stop:
+            raise PlyParseError(f"expected {ncols} values for {label} {end - start}, "
+                                f"got {widths[row_lines[end]]}", line=header_lines + int(row_lines[end]) + 1)
+        if stop < start + element.count:
+            raise PlyParseError(f"truncated body: missing {label} {stop - start}",
+                                line=header_lines + len(lines) + 1)
+        start = stop
     return data
 
 
@@ -252,7 +233,7 @@ def _read_binary_body(stream, elements, cols) -> np.ndarray:
     body = stream.read()
     offset = 0
     for element in elements:
-        dtype = np.dtype([(p.name, _SCALAR_TYPES[p.ply_type][0]) for p in element.properties])
+        dtype = np.dtype([(p.name, _SCALAR_TYPES[p.ply_type]) for p in element.properties])
         nbytes = dtype.itemsize * element.count
         if offset + nbytes > len(body):
             raise PlyParseError(
@@ -271,12 +252,17 @@ def _read_binary_body(stream, elements, cols) -> np.ndarray:
 def read_ply(source) -> PointCloud:
     """Read a point cloud from a PLY file.
 
-    ``source`` may be a path, bytes, or a binary file object.  The returned
-    cloud has ``bit_depth`` unset; callers supply or infer it.
+    ``source`` may be a path, bytes, or a binary file object; a parse error
+    from a path starts with it.  The returned cloud has ``bit_depth`` unset;
+    callers supply or infer it.
     """
     if isinstance(source, (str, os.PathLike)):
         with open(source, "rb") as fh:
-            return read_ply(fh)
+            try:
+                return read_ply(fh)
+            except PlyParseError as exc:
+                exc.args = (f"{os.fspath(source)}: {exc}",)  # .line and .byte stay
+                raise
     if isinstance(source, (bytes, bytearray)):
         return read_ply(io.BytesIO(source))
 
@@ -286,9 +272,7 @@ def read_ply(source) -> PointCloud:
 
     if fmt == ASCII:
         lines = source.read().decode("ascii", errors="replace").splitlines()
-        data = _ascii_vertices_by_block(lines, vertex, cols) if len(elements) == 1 else None
-        if data is None:
-            data = _ascii_vertices_by_line(lines, elements, header_lines, cols)
+        data = _ascii_vertices(lines, elements, header_lines, cols)
     else:
         data = _read_binary_body(source, elements, cols)
     normals = _renormalize(data[:, 3:]) if len(cols) == 6 else None

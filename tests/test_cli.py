@@ -10,7 +10,7 @@ import pytest
 from pcqa import ErrorKind, PeakSpec, PointCloud, psnr, read_ply, run_benchmark, write_ply
 from pcqa.evaluation import read_manifest, variant_from_string
 from shapes import integer_grid, random_voxel_cloud
-from test_ply import NON_FINITE_NORMALS, ascii_ply
+from test_ply import NON_FINITE_NORMALS, UNDERFLOWING_NORMAL, ascii_ply
 
 
 def run_cli(*args, cwd=None):
@@ -51,17 +51,30 @@ def test_compare_jsonl_round_trips_to_the_library_result(pair):
     assert record == json.loads(json.dumps(direct.to_dict()))
 
 
-@pytest.mark.parametrize("name", [*sorted(NON_FINITE_NORMALS), "vertex-count-1e11"])
+DAMAGED = {
+    **NON_FINITE_NORMALS,
+    "normal-1e-160": UNDERFLOWING_NORMAL,
+    "vertex-count-1e11": ascii_ply(["0 0 0", "1 0 0"], count=10**11),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DAMAGED))
 def test_damaged_ply_exits_4_with_one_error_line(tmp_path, name):
     path = tmp_path / "damaged.ply"
-    if name in NON_FINITE_NORMALS:
-        path.write_bytes(NON_FINITE_NORMALS[name])
-    else:
-        path.write_bytes(ascii_ply(["0 0 0", "1 0 0"], count=10**11))
+    path.write_bytes(DAMAGED[name])
     proc = run_cli("resolution", "--ref", path)
     assert proc.returncode == 4
     assert proc.stdout == ""
-    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("pcqa: error[parse]: ")
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith(f"pcqa: error[parse]: {path}: ")
+
+
+def test_compare_parse_error_names_the_file(tmp_path, pair):
+    ref, _ = pair
+    bad = tmp_path / "bad.ply"
+    bad.write_bytes(ascii_ply(["0 0 0", "1 x 0"]))
+    proc = run_cli("compare", "--ref", ref, "--deg", bad)
+    assert proc.returncode == 4
+    assert proc.stderr == f"pcqa: error[parse]: {bad}: non-numeric value 'x' in vertex 1 (line 9)\n"
 
 
 def test_compare_self_is_infinite_quality_and_exit_zero(pair):
@@ -256,6 +269,32 @@ def test_benchmark_missing_stimulus_file_names_it(tmp_path, manifest):
                    "--out", tmp_path / "r")
     assert proc.returncode == 3
     assert "s3" in proc.stderr and "error[not-found]" in proc.stderr
+
+
+def test_benchmark_damaged_stimulus_names_it(tmp_path, manifest):
+    bad = tmp_path / "d3.ply"
+    bad.write_bytes(ascii_ply(["0 0 0", "1 x 0"]))
+    proc = run_cli("benchmark", "--manifest", manifest, "--metric", "po2po:precision",
+                   "--out", tmp_path / "r")
+    assert proc.returncode == 4
+    assert proc.stderr == (f"pcqa: error[parse]: stimulus 's3': {bad}: "
+                           "non-numeric value 'x' in vertex 1 (line 9)\n")
+
+
+def test_unknown_bit_depth_is_a_usage_error_naming_the_reference(tmp_path):
+    neg = tmp_path / "neg.ply"
+    write_ply(PointCloud([[-1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]), neg)
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("stimulus_id,group,reference,degraded,mos\n"
+                        + "".join(f"s{i},g,neg.ply,neg.ply,3\n" for i in range(5)))
+    expected = (f"pcqa: error[usage]: --bitdepth required: {neg}: "
+                "cannot infer bit depth: negative coordinate present\n")
+    compare = run_cli("compare", "--ref", neg, "--deg", neg, "--error", "po2po", "--peak", "precision")
+    benchmark = run_cli("benchmark", "--manifest", manifest, "--metric", "po2po:precision",
+                        "--out", tmp_path / "r")
+    for proc in (compare, benchmark):
+        assert proc.returncode == 2
+        assert proc.stderr == expected
 
 
 def test_benchmark_manifest_schema_error(tmp_path):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,13 @@ def test_rejects_non_finite_normals():
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="normals must be finite"):
             PointCloud(pts, normals=[[0.0, 0.0, 1.0], [bad, 0.0, 0.0]])
+
+
+def test_overflowing_normal_length_is_rejected_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"unit length within 1e-09 \(worst \|err\|=inf\)"):
+            PointCloud([[0.0, 0.0, 0.0]], normals=[[1e200, 0.0, 0.0]])
 
 
 def test_normals_unit_tolerance_is_tight_but_not_exact():

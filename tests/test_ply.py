@@ -55,13 +55,20 @@ def test_file_normals_are_renormalized():
     assert np.array_equal(read_ply(data).normals, [[0.0, 0.0, 1.0]])
 
 
+NORMAL_PROPS = ("x", "y", "z", "nx", "ny", "nz")
+
+# a length whose square underflows: renormalizing it would give a visibly non-unit normal
+UNDERFLOWING_NORMAL = ascii_ply(["0 0 0 0 0 1", "1 0 0 1e-160 0 0"], props=NORMAL_PROPS)
+
+
 def test_zero_length_normal_is_an_error():
     data = ascii_ply(["0 0 0 0 0 0"], props=("x", "y", "z", "nx", "ny", "nz"))
     with pytest.raises(PlyParseError, match="zero-length normal"):
         read_ply(data)
-
-
-NORMAL_PROPS = ("x", "y", "z", "nx", "ny", "nz")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PlyParseError, match="zero-length normal on vertex 1;"):
+            read_ply(UNDERFLOWING_NORMAL)
 
 
 def binary_float32_ply(rows, props=NORMAL_PROPS):
@@ -271,21 +278,42 @@ def test_crlf_line_endings_accepted():
     assert len(read_ply(data)) == 3
 
 
-# --------------------------------------- ASCII body: numpy blocks vs per line
+def test_parse_error_from_a_path_names_the_file(tmp_path):
+    path = tmp_path / "bad.ply"
+    path.write_bytes(ascii_ply(["0 0 0", "1 zero 0"]))
+    with pytest.raises(PlyParseError) as exc_info:
+        read_ply(path)
+    assert str(exc_info.value) == f"{path}: non-numeric value 'zero' in vertex 1 (line 9)"
+    assert exc_info.value.line == 9
 
 
-def parse_both_ways(data: bytes):
-    """The wanted vertex columns of an ASCII file from the block-wise numpy
-    parse (None when it declines) and from the per-line parser."""
+# --------------------------------------------- ASCII body: elements in file order
+
+VERTEX_THEN_FACE = (
+    b"ply\nformat ascii 1.0\nelement vertex 3\n"
+    b"property float x\nproperty float y\nproperty float z\n"
+    b"element face 2\nproperty int a\nproperty int b\nend_header\n"
+    b"0.5 -0 1e-320\n\n1_000 +1.5 .5\n7 8 9\n0 1\n\n1 2\nextra lines are ignored\n"
+)
+FACE_PROPS = ("element face 2", "property int a", "property int b")
+FACE_THEN_VERTEX = ascii_ply(
+    ["0 1", "   ", "1 2", "0.5 -0 1e-320", "1_000 +1.5 .5", "", "7 8 9"], count=3, extra_header=FACE_PROPS
+)
+
+
+def per_value_oracle(data: bytes) -> np.ndarray:
+    """The wanted vertex columns by one ``float()`` per value: the body's
+    non-empty lines are the rows of each element in turn."""
     stream = io.BytesIO(data)
-    _, elements, header_lines = ply._parse_header(stream)
-    vertex = ply._vertex_element(elements)
-    cols = ply._wanted_columns(vertex)
-    lines = stream.read().decode("ascii").splitlines()
-    return (
-        ply._ascii_vertices_by_block(lines, vertex, cols),
-        ply._ascii_vertices_by_line(lines, elements, header_lines, cols),
-    )
+    _, elements, _ = ply._parse_header(stream)
+    cols = ply._wanted_columns(ply._vertex_element(elements))
+    rows = [line.split() for line in stream.read().decode("ascii").splitlines() if line.strip()]
+    start = 0
+    for element in elements:
+        if element.name == "vertex":
+            values = [[float(row[c]) for c in cols] for row in rows[start:start + element.count]]
+            return np.array(values, dtype=np.float64).reshape(-1, len(cols))
+        start += element.count
 
 
 @pytest.mark.parametrize("block_rows", [2, ply._ASCII_BLOCK_ROWS])
@@ -298,42 +326,48 @@ def parse_both_ways(data: bytes):
             ["0 0 1 7 1.25 2.5 -3.75 9", "0.6 0.8 0 8 1e-3 2e3 3 1", "1 0 0 9 -0 5e-324 7 2"],
             props=("nx", "ny", "nz", "label", "x", "y", "z", "weight"),
         ),
+        VERTEX_THEN_FACE,
+        FACE_THEN_VERTEX,
     ],
-    ids=["special-tokens", "crlf-trailing-blank", "skipped-columns-normals-first"],
+    ids=["special-tokens", "crlf-trailing-blank", "skipped-columns-normals-first",
+         "vertex-then-face", "face-then-vertex"],
 )
 def test_block_parse_matches_the_per_line_parser_bit_for_bit(monkeypatch, data, block_rows):
+    # the body parser itself: read_ply would reject the non-finite coordinates
     monkeypatch.setattr(ply, "_ASCII_BLOCK_ROWS", block_rows)
-    by_block, by_line = parse_both_ways(data)
-    assert by_block is not None
-    assert by_block.shape == by_line.shape
-    assert by_block.tobytes() == by_line.tobytes()
+    stream = io.BytesIO(data)
+    _, elements, header_lines = ply._parse_header(stream)
+    cols = ply._wanted_columns(ply._vertex_element(elements))
+    lines = stream.read().decode("ascii").splitlines()
+    parsed = ply._ascii_vertices(lines, elements, header_lines, cols)
+    expected = per_value_oracle(data)
+    assert parsed.shape == expected.shape
+    assert parsed.tobytes() == expected.tobytes()
 
 
-def test_other_elements_take_the_per_line_parser(monkeypatch):
-    data = (
-        b"ply\nformat ascii 1.0\nelement vertex 2\n"
-        b"property float x\nproperty float y\nproperty float z\n"
-        b"element face 0\nproperty int a\nend_header\n"
-        b"1 2 3\n4 5 6\n"
-    )
-    calls = []
-    monkeypatch.setattr(ply, "_ascii_vertices_by_block", lambda *args: calls.append(args))
-    cloud = read_ply(data)
-    assert calls == []
-    assert np.array_equal(cloud.points, [[1, 2, 3], [4, 5, 6]])
-
-
-def test_read_ply_uses_the_block_parse_for_a_lone_vertex_element(monkeypatch):
-    parse = ply._ascii_vertices_by_block
-    results = []
-
-    def spy(*args):
-        results.append(parse(*args))
-        return results[-1]
-
-    monkeypatch.setattr(ply, "_ascii_vertices_by_block", spy)
-    assert np.array_equal(read_ply(SIMPLE).points, [[0, 0, 0], [1, 0, 0], [0, 1, 0]])
-    assert len(results) == 1 and results[0] is not None
+@pytest.mark.parametrize("block_rows", [2, ply._ASCII_BLOCK_ROWS])
+@pytest.mark.parametrize(
+    "data,match,line",
+    [
+        # the value fault on vertex 1 comes before the width fault on vertex 2
+        (ascii_ply(["0 0 0", "1 x 0", "1 0"]), "non-numeric value 'x' in vertex 1", 9),
+        # the face element comes first in the body, so its bad row is reported
+        (ascii_ply(["0 1", "1 2 3", "0 y 0", "1 0 0", "0 1 0"], count=3, extra_header=FACE_PROPS),
+         "expected 2 values for face row 1, got 3", 12),
+        (VERTEX_THEN_FACE.replace(b"\n\n1 2\nextra lines are ignored\n", b"\n"),
+         "truncated body: missing face row 1", 16),
+        (ascii_ply(["0 0 0 red", "1 0 0 green"], props=("x", "y", "z", "label")), None, None),
+    ],
+    ids=["value-before-width", "face-before-vertex", "missing-face-rows", "skipped-column-text"],
+)
+def test_ascii_body_reports_the_first_fault_in_file_order(monkeypatch, data, match, line, block_rows):
+    monkeypatch.setattr(ply, "_ASCII_BLOCK_ROWS", block_rows)
+    if match is None:
+        assert np.array_equal(read_ply(data).points, [[0, 0, 0], [1, 0, 0]])
+        return
+    with pytest.raises(PlyParseError, match=match) as exc_info:
+        read_ply(data)
+    assert exc_info.value.line == line
 
 
 @pytest.mark.parametrize("block_rows", [100, ply._ASCII_BLOCK_ROWS])

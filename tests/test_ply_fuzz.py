@@ -1,6 +1,7 @@
-"""Byte mutations of small valid PLY files: the reader either returns a valid
-cloud or raises PlyParseError/ValueError, lets no warning out, and
-``pcqa resolution`` maps every failure to one error line and exit 4 or 6."""
+"""Byte mutations of small valid PLY files, single- and multi-element: the
+reader either returns a valid cloud or raises PlyParseError/ValueError, lets
+no warning out, and ``pcqa resolution`` maps every failure to one error line
+and exit 4 or 6."""
 
 import contextlib
 import io
@@ -22,6 +23,13 @@ def _seed_files() -> list[bytes]:
             out = io.BytesIO()
             write_ply(cloud, out, format=fmt)
             files.append(out.getvalue())
+    # ASCII bodies whose vertex rows follow or precede another element's rows
+    vertex = b"element vertex 3\nproperty float x\nproperty float y\nproperty float z\n"
+    face = b"element face 2\nproperty int a\nproperty int b\n"
+    vertex_rows, face_rows = b"0 0 0\n1 0 0\n0 1 0.5\n", b"0 1\n1 2\n"
+    head = b"ply\nformat ascii 1.0\n"
+    files.append(head + vertex + face + b"end_header\n" + vertex_rows + face_rows)
+    files.append(head + face + vertex + b"end_header\n" + face_rows + vertex_rows)
     return files
 
 
