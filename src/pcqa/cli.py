@@ -36,6 +36,7 @@ from .evaluation import (
 from .metrics import (
     DEFAULT_ESTIMATOR_K,
     ErrorKind,
+    PeakKind,
     PeakSpec,
     ResolutionEstimator,
     ZeroPeakError,
@@ -54,8 +55,8 @@ EXIT_INVALID_DATA = 6
 
 POOLING_FLAGS = {"paper-max": "max", "mpeg-min": "min"}
 
-PEAK_CHOICES = ("precision", "ld", "mnn", "ann", "annk", "apdk")
-ESTIMATOR_CHOICES = ("mnn", "ann", "annk", "apdk")
+ESTIMATOR_CHOICES = tuple(e.value for e in ResolutionEstimator)
+PEAK_CHOICES = (PeakKind.PRECISION.value, PeakKind.LARGEST_DIAGONAL.value, *ESTIMATOR_CHOICES)
 
 
 class UsageError(Exception):
@@ -71,15 +72,15 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _peak_from_flags(peak: str, ra: bool | None, k: int) -> PeakSpec:
-    """Build the peak spec; bare ``compare`` defaults to the density-adaptive
-    rendering peak, while an explicit non-resolution peak leaves ``--ra`` off."""
-    if ra is None:
-        ra = peak == "apdk"
-    label = f"ra-{peak}" if ra else peak
+    """Build the peak spec; ``--ra`` defaults to on for the rendering peak
+    (bare ``compare``) and to off for every other peak."""
     try:
-        return PeakSpec.parse(label, k)
+        spec = PeakSpec.parse(peak, k)
+        if ra or (ra is None and spec.kind is PeakKind.RENDERING):
+            spec = PeakSpec.parse(f"ra-{peak}", k)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    return spec
 
 
 def _db_str(value: float) -> str:
@@ -123,15 +124,12 @@ def cmd_compare(args) -> int:
 
 
 def cmd_resolution(args) -> int:
+    peak = _peak_from_flags(args.peak, False, args.k)
     cloud = read_ply(args.ref)
-    estimator = ResolutionEstimator(args.peak)
-    value = resolution(cloud, estimator, args.k, normal_k=args.normal_k)
-    if estimator in (ResolutionEstimator.ANN_K, ResolutionEstimator.APD_K):
-        label = f"{estimator.value}(k={args.k})"
-    else:
-        label = estimator.value
+    value = resolution(cloud, peak.estimator, peak.k, normal_k=args.normal_k)
+    label = peak.label if peak.k is None else f"{peak.label}(k={peak.k})"
     note = ""
-    if estimator is ResolutionEstimator.APD_K:
+    if peak.estimator is ResolutionEstimator.APD_K:
         source = "file" if cloud.has_normals else f"estimated, normal-k={args.normal_k}"
         note = f"  [normals: {source}]"
     _emit(f"{label} = {value:.9f}{note}\n", args.out)
@@ -162,11 +160,8 @@ def _parse_variants(tokens: list[str] | None, k: int):
         token = token.strip()
         if not token:
             raise UsageError("empty metric specification")
-        if token.lower() == "all":
-            variants.extend(full_variant_matrix(k))
-            continue
         try:
-            variants.append(variant_from_string(token))
+            variants += full_variant_matrix(k) if token.lower() == "all" else [variant_from_string(token)]
         except ValueError as exc:
             raise UsageError(str(exc)) from None
     if not variants:
@@ -234,19 +229,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, *, normal_k=True, k=True):
-        if k:
-            p.add_argument("--k", type=int, default=DEFAULT_ESTIMATOR_K,
-                           help="neighborhood size for annk/apdk (default %(default)s)")
-        if normal_k:
-            p.add_argument("--normal-k", type=int, default=DEFAULT_NORMAL_K,
-                           help="neighbors for normal estimation (default %(default)s)")
+    def add_common(p):
+        p.add_argument("--k", type=int, default=DEFAULT_ESTIMATOR_K,
+                       help="neighborhood size for annk/apdk (default %(default)s)")
+        p.add_argument("--normal-k", type=int, default=DEFAULT_NORMAL_K,
+                       help="neighbors for normal estimation (default %(default)s)")
 
     p = sub.add_parser("compare", help="score a degraded cloud against a reference")
     p.add_argument("--ref", required=True, help="reference point cloud (PLY)")
     p.add_argument("--deg", required=True, help="degraded point cloud (PLY)")
     p.add_argument("--error", choices=[e.value for e in ErrorKind], default="po2pl")
-    p.add_argument("--peak", choices=PEAK_CHOICES, default="apdk")
+    p.add_argument("--peak", choices=PEAK_CHOICES, default=ResolutionEstimator.APD_K.value)
     p.add_argument("--ra", action=argparse.BooleanOptionalAction, default=None,
                    help="density-adaptive peak (default: on for apdk, off otherwise)")
     add_common(p)
@@ -258,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("resolution", help="print a resolution estimate for a cloud")
     p.add_argument("--ref", required=True, help="point cloud (PLY)")
-    p.add_argument("--peak", choices=ESTIMATOR_CHOICES, default="ann",
+    p.add_argument("--peak", choices=ESTIMATOR_CHOICES, default=ResolutionEstimator.ANN.value,
                    help="resolution estimator (default %(default)s)")
     add_common(p)
     p.add_argument("--out", help="write the value here instead of stdout")
@@ -309,7 +302,7 @@ def main(argv=None) -> int:
         return _fail("usage", str(exc), EXIT_USAGE)
     except UnknownBitDepth as exc:
         return _fail("usage", f"--bitdepth required: {exc}", EXIT_USAGE)
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
         return _fail("not-found", str(exc), EXIT_NOT_FOUND)
     except PlyParseError as exc:
         return _fail("parse", str(exc), EXIT_PARSE)

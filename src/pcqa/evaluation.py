@@ -26,7 +26,7 @@ from .metrics import (
     score_variants,
 )
 from .normals import DEFAULT_NORMAL_K
-from .ply import PlyParseError, read_ply
+from .ply import read_ply
 
 POOLED_GROUP = "All"
 MIN_GROUP_SIZE = 5  # a 4-parameter fit needs at least 5 samples
@@ -226,8 +226,8 @@ def read_manifest(path) -> list[StimulusRecord]:
     """Read a benchmark manifest CSV.
 
     Expected header: ``stimulus_id,group,reference,degraded,mos`` (extra
-    columns are ignored).  Relative cloud paths are resolved against the
-    manifest's directory.
+    columns are ignored).  A row short of a header field is an error.
+    Relative cloud paths are resolved against the manifest's directory.
     """
     base = os.path.dirname(os.path.abspath(path))
     records: list[StimulusRecord] = []
@@ -237,18 +237,22 @@ def read_manifest(path) -> list[StimulusRecord]:
         missing = [c for c in MANIFEST_COLUMNS if c not in (reader.fieldnames or ())]
         if missing:
             raise ValueError(f"manifest {path} is missing column(s): {', '.join(missing)}")
-        for rownum, row in enumerate(reader, start=2):
+        for row in reader:
+            if None in row.values():  # csv fills the fields a short row lacks with None
+                got = sum(value is not None for value in row.values())
+                raise ValueError(f"manifest {path} line {reader.line_num}: "
+                                 f"expected {len(reader.fieldnames)} fields, got {got}")
             sid = row["stimulus_id"].strip()
             if not sid:
-                raise ValueError(f"manifest {path} line {rownum}: empty stimulus_id")
+                raise ValueError(f"manifest {path} line {reader.line_num}: empty stimulus_id")
             if sid in seen:
-                raise ValueError(f"manifest {path} line {rownum}: duplicate stimulus_id {sid!r}")
+                raise ValueError(f"manifest {path} line {reader.line_num}: duplicate stimulus_id {sid!r}")
             seen.add(sid)
             try:
                 mos = float(row["mos"])
             except ValueError:
                 raise ValueError(
-                    f"manifest {path} line {rownum}: MOS {row['mos']!r} is not a number"
+                    f"manifest {path} line {reader.line_num}: MOS {row['mos']!r} is not a number"
                 ) from None
             records.append(
                 StimulusRecord(
@@ -285,10 +289,10 @@ def score_pair(
 def _load_cloud(path: str, stimulus_id: str) -> PointCloud:
     try:
         return read_ply(path)
-    except FileNotFoundError:
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError):
         raise FileNotFoundError(f"stimulus {stimulus_id!r}: file not found: {path}") from None
-    except PlyParseError as exc:
-        exc.args = (f"stimulus {stimulus_id!r}: {exc}",)  # .line and .byte stay
+    except ValueError as exc:
+        exc.args = (f"stimulus {stimulus_id!r}: {exc}",)  # a PlyParseError keeps .line and .byte
         raise
 
 

@@ -37,13 +37,6 @@ class ErrorKind(Enum):
     PO2PL = "po2pl"  # squared projection onto the neighbor's normal (D2)
 
 
-class ResolutionEstimator(Enum):
-    MNN = "mnn"  # maximum nearest-neighbor distance
-    ANN = "ann"  # RMS nearest-neighbor distance
-    ANN_K = "annk"  # RMS distance over k-neighborhoods
-    APD_K = "apdk"  # RMS tangent-plane-projected distance over k-neighborhoods
-
-
 class PeakKind(Enum):
     PRECISION = "precision"
     LARGEST_DIAGONAL = "ld"
@@ -51,7 +44,28 @@ class PeakKind(Enum):
     RENDERING = "rendering"
 
 
-_INTRINSIC_ESTIMATORS = (ResolutionEstimator.MNN, ResolutionEstimator.ANN, ResolutionEstimator.ANN_K)
+class ResolutionEstimator(Enum):
+    MNN = "mnn"  # maximum nearest-neighbor distance
+    ANN = "ann"  # RMS nearest-neighbor distance
+    ANN_K = "annk"  # RMS distance over k-neighborhoods
+    APD_K = "apdk"  # RMS tangent-plane-projected distance over k-neighborhoods
+
+    def read_k(self, k: int | None) -> int | None:
+        """The neighborhood size this estimator reads when passed ``k``.
+        ANN_K and APD_K read ``k``, ``DEFAULT_ESTIMATOR_K`` when it is None,
+        and need it to be at least 1; MNN and ANN read none and ignore ``k``."""
+        if self in (ResolutionEstimator.MNN, ResolutionEstimator.ANN):
+            return None
+        if k is None:
+            return DEFAULT_ESTIMATOR_K
+        if k < 1:
+            raise ValueError(f"estimator {self.value} needs k >= 1, got {k}")
+        return k
+
+    @property
+    def peak_kind(self) -> PeakKind:
+        """APD_K is the rendering resolution; the others are intrinsic."""
+        return PeakKind.RENDERING if self is ResolutionEstimator.APD_K else PeakKind.INTRINSIC
 
 
 @dataclass(frozen=True)
@@ -75,17 +89,11 @@ class PeakSpec:
             if self.density_adaptive:
                 raise ValueError("density-adaptive scaling requires a resolution-based peak")
             return
-        if self.kind is PeakKind.INTRINSIC:
-            if self.estimator not in _INTRINSIC_ESTIMATORS:
-                raise ValueError(f"intrinsic peak needs MNN, ANN or ANN_K, got {self.estimator}")
-        else:  # RENDERING
-            if self.estimator is not ResolutionEstimator.APD_K:
-                raise ValueError(f"rendering peak needs APD_K, got {self.estimator}")
-        if self.estimator in (ResolutionEstimator.ANN_K, ResolutionEstimator.APD_K):
-            if self.k is None or self.k < 1:
-                raise ValueError(f"estimator {self.estimator.value} needs k >= 1, got {self.k}")
-        elif self.k is not None:
-            raise ValueError(f"estimator {self.estimator.value} takes no k")
+        if self.estimator is None or self.estimator.peak_kind is not self.kind:
+            raise ValueError(f"{self.kind.value} peak cannot use estimator {self.estimator}")
+        if self.estimator.read_k(self.k) != self.k:  # the spec holds the k that is read
+            raise ValueError(f"estimator {self.estimator.value} reads k="
+                             f"{self.estimator.read_k(self.k)}, got {self.k}")
 
     @classmethod
     def precision(cls) -> "PeakSpec":
@@ -102,9 +110,7 @@ class PeakSpec:
         k: int | None = None,
         density_adaptive: bool = False,
     ) -> "PeakSpec":
-        if estimator is ResolutionEstimator.ANN_K and k is None:
-            k = DEFAULT_ESTIMATOR_K
-        return cls(PeakKind.INTRINSIC, estimator, k, density_adaptive)
+        return cls(PeakKind.INTRINSIC, estimator, estimator.read_k(k), density_adaptive)
 
     @classmethod
     def rendering(cls, k: int = DEFAULT_ESTIMATOR_K, density_adaptive: bool = False) -> "PeakSpec":
@@ -118,27 +124,22 @@ class PeakSpec:
     @property
     def label(self) -> str:
         """Short flag-style name, e.g. 'precision', 'annk', 'ra-apdk'."""
-        if self.kind in (PeakKind.PRECISION, PeakKind.LARGEST_DIAGONAL):
-            return self.kind.value
-        base = self.estimator.value
+        base = self.kind.value if self.estimator is None else self.estimator.value
         return f"ra-{base}" if self.density_adaptive else base
 
     @classmethod
     def parse(cls, label: str, k: int | None = None) -> "PeakSpec":
-        """Inverse of ``label``; ``k`` applies to the annk/apdk estimators."""
+        """Inverse of ``label``; ``k`` as ``ResolutionEstimator.read_k`` reads it."""
         ra = label.startswith("ra-")
         base = label[3:] if ra else label
-        if base == "precision":
-            spec = cls.precision()
-        elif base == "ld":
-            spec = cls.largest_diagonal()
-        elif base in ("mnn", "ann", "annk"):
-            est = ResolutionEstimator(base)
-            spec = cls.intrinsic(est, k if est is ResolutionEstimator.ANN_K else None)
-        elif base == "apdk":
-            spec = cls.rendering(k if k is not None else DEFAULT_ESTIMATOR_K)
+        if base in (PeakKind.PRECISION.value, PeakKind.LARGEST_DIAGONAL.value):
+            spec = cls(PeakKind(base))
         else:
-            raise ValueError(f"unknown peak {label!r}")
+            try:
+                est = ResolutionEstimator(base)
+            except ValueError:
+                raise ValueError(f"unknown peak {label!r}") from None
+            spec = cls(est.peak_kind, est, est.read_k(k))
         if ra:
             spec = replace(spec, density_adaptive=True)
         return spec
@@ -252,17 +253,15 @@ class PreparedCloud:
         return float(np.mean(row_sums)) / k
 
     def resolution(self, estimator: ResolutionEstimator, k: int | None = None) -> float:
-        """One resolution estimate, memoized; ``k`` applies to ANN_K and APD_K only."""
-        if estimator in (ResolutionEstimator.MNN, ResolutionEstimator.ANN):
-            k = None
-        elif k is None:
-            k = DEFAULT_ESTIMATOR_K
+        """One resolution estimate, memoized; ``k`` as ``ResolutionEstimator.read_k`` reads it."""
+        k = estimator.read_k(k)
         if (estimator, k) not in self._resolutions:
             if estimator is ResolutionEstimator.APD_K:
                 value = math.sqrt(self.apd_mean_square(k))
-            else:  # distances only: cut from the smallest graph built at k or more
-                have = min((h for h in self._graphs if h >= (k or 1)), default=k or 1)
-                d = self.graph(have)[1][:, : k or 1]
+            else:  # distances only: cut from the smallest graph built at this width or more
+                width = 1 if k is None else k  # MNN and ANN read the nearest neighbor
+                have = min((h for h in self._graphs if h >= width), default=width)
+                d = self.graph(have)[1][:, :width]
                 value = d.max() if estimator is ResolutionEstimator.MNN else np.sqrt(np.mean(d * d))
             self._resolutions[estimator, k] = float(value)
         return self._resolutions[estimator, k]

@@ -252,16 +252,16 @@ def _read_binary_body(stream, elements, cols) -> np.ndarray:
 def read_ply(source) -> PointCloud:
     """Read a point cloud from a PLY file.
 
-    ``source`` may be a path, bytes, or a binary file object; a parse error
-    from a path starts with it.  The returned cloud has ``bit_depth`` unset;
-    callers supply or infer it.
+    ``source`` may be a path, bytes, or a binary file object; a parse or
+    data error from a path starts with it.  The returned cloud has
+    ``bit_depth`` unset; callers supply or infer it.
     """
     if isinstance(source, (str, os.PathLike)):
         with open(source, "rb") as fh:
             try:
                 return read_ply(fh)
-            except PlyParseError as exc:
-                exc.args = (f"{os.fspath(source)}: {exc}",)  # .line and .byte stay
+            except ValueError as exc:
+                exc.args = (f"{os.fspath(source)}: {exc}",)  # a PlyParseError keeps .line and .byte
                 raise
     if isinstance(source, (bytes, bytearray)):
         return read_ply(io.BytesIO(source))

@@ -1,5 +1,7 @@
 """End-to-end command-line checks, run through the real console entry point."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -7,7 +9,8 @@ import sys
 import numpy as np
 import pytest
 
-from pcqa import ErrorKind, PeakSpec, PointCloud, psnr, read_ply, run_benchmark, write_ply
+from pcqa import (ErrorKind, PeakSpec, PointCloud, ResolutionEstimator, ann_k, apd_k, cli, psnr,
+                  read_ply, resolution, run_benchmark, write_ply)
 from pcqa.evaluation import read_manifest, variant_from_string
 from shapes import integer_grid, random_voxel_cloud
 from test_ply import NON_FINITE_NORMALS, UNDERFLOWING_NORMAL, ascii_ply
@@ -304,6 +307,102 @@ def test_benchmark_manifest_schema_error(tmp_path):
                    "--out", tmp_path / "r")
     assert proc.returncode == 4
     assert "error[parse]" in proc.stderr
+
+
+def test_short_manifest_row_is_a_parse_error_naming_its_line(tmp_path, manifest):
+    manifest.write_text(manifest.read_text().replace("ref.ply,d4.ply", "ref.plyd4.ply"))
+    proc = run_cli("benchmark", "--manifest", manifest, "--metric", "po2po:ld",
+                   "--out", tmp_path / "r")
+    assert proc.returncode == 4
+    assert proc.stderr == f"pcqa: error[parse]: manifest {manifest} line 5: expected 5 fields, got 4\n"
+
+
+def test_a_directory_in_place_of_a_file_is_not_found(tmp_path, pair, manifest):
+    _, deg = pair
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    compare = run_cli("compare", "--ref", folder, "--deg", deg)
+    as_manifest = run_cli("benchmark", "--manifest", folder, "--out", tmp_path / "r")
+    manifest.write_text(manifest.read_text().replace("d3.ply", "folder"))
+    in_manifest = run_cli("benchmark", "--manifest", manifest, "--metric", "po2po:ld",
+                          "--out", tmp_path / "r")
+    for proc in (compare, as_manifest, in_manifest):
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("pcqa: error[not-found]: ") and proc.stderr.count("\n") == 1
+        assert str(folder) in proc.stderr
+    assert "stimulus 's3'" in in_manifest.stderr
+
+
+def test_invalid_data_in_a_ply_names_the_file(tmp_path, manifest):
+    bad = tmp_path / "d3.ply"
+    bad.write_bytes(ascii_ply(["0 0 0", "1 1e400 0"]))
+    alone = run_cli("resolution", "--ref", bad)
+    in_manifest = run_cli("benchmark", "--manifest", manifest, "--metric", "po2po:ld",
+                          "--out", tmp_path / "r")
+    assert alone.returncode == in_manifest.returncode == 6
+    assert alone.stderr == f"pcqa: error[invalid-data]: {bad}: coordinates must be finite\n"
+    assert in_manifest.stderr == (f"pcqa: error[invalid-data]: stimulus 's3': {bad}: "
+                                  "coordinates must be finite\n")
+
+
+@pytest.fixture(scope="module")
+def voxel_pair(tmp_path_factory):
+    root = tmp_path_factory.mktemp("voxel_pair")
+    ref = random_voxel_cloud(np.random.default_rng(3), n=40, bit_depth=6)
+    write_ply(ref, root / "ref.ply")
+    write_ply(PointCloud(ref.points + 0.25), root / "deg.ply")
+    return root / "ref.ply", root / "deg.ply"
+
+
+def run_main(*args) -> tuple[int, str, str]:
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli.main([str(arg) for arg in args])
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+@pytest.mark.parametrize("k", [None, -1, 0, 1, 5])
+@pytest.mark.parametrize("estimator", list(ResolutionEstimator), ids=lambda e: e.value)
+def test_estimator_k_rule_is_the_same_at_every_entry_point(voxel_pair, estimator, k):
+    """annk and apdk read k (10 when not given) and reject k < 1; mnn and ann ignore it."""
+    ref, deg = voxel_pair
+    cloud = read_ply(ref)
+    reads_k = estimator in (ResolutionEstimator.ANN_K, ResolutionEstimator.APD_K)
+    rejected = (f"estimator {estimator.value} needs k >= 1, got {k}"
+                if reads_k and k is not None and k < 1 else None)
+
+    def outcome(call):
+        try:
+            call()
+        except ValueError as exc:
+            return str(exc)
+        return None
+
+    calls = [lambda: PeakSpec.parse(estimator.value, k), lambda: resolution(cloud, estimator, k)]
+    if reads_k:
+        function = ann_k if estimator is ResolutionEstimator.ANN_K else apd_k
+        calls.append(lambda: function(cloud) if k is None else function(cloud, k))
+    assert [outcome(call) for call in calls] == [rejected] * len(calls)
+
+    k_flag = () if k is None else ("--k", k)
+    shown = run_main("resolution", "--ref", ref, "--peak", estimator.value, *k_flag)
+    scored = run_main("compare", "--ref", ref, "--deg", deg, "--error", "po2po",
+                      "--peak", estimator.value, *k_flag)
+    for code, _, stderr in (shown, scored):
+        assert (code, stderr) == ((2, f"pcqa: error[usage]: {rejected}\n") if rejected else (0, ""))
+    if not rejected:
+        label = f"{estimator.value}(k={10 if k is None else k})" if reads_k else estimator.value
+        assert shown[1].startswith(f"{label} = {resolution(cloud, estimator, k):.9f}")
+
+
+def test_benchmark_rejects_a_bad_k_as_a_usage_error(tmp_path):
+    # flags are checked before the manifest is read
+    for metric, message in ((("--metric", "all"), "estimator annk needs k >= 1, got 0"),
+                            (("--metric", "po2po:annk:0"),
+                             "metric 'po2po:annk:0': estimator annk needs k >= 1, got 0")):
+        code, _, stderr = run_main("benchmark", "--manifest", tmp_path / "none.csv", *metric,
+                                   "--k", "0", "--out", tmp_path / "r")
+        assert (code, stderr) == (2, f"pcqa: error[usage]: {message}\n")
 
 
 def test_every_command_is_byte_deterministic(tmp_path, pair, manifest):

@@ -213,6 +213,8 @@ def test_read_manifest_accepts_extra_columns(tmp_path):
         ([",g,a.ply,b.ply,2"], None, "empty stimulus_id"),
         ([], None, "no stimuli"),
         (["s1,g,b.ply,2"], "stimulus_id,group,degraded,mos", "missing column"),
+        (["s1,g,a.ply,b.ply,2", "s4,noise,ref.plyd4.ply,1.9"], None, "line 3: expected 5 fields, got 4"),
+        (["", "s1,g,a.ply,b.ply,x"], None, "line 3: MOS 'x' is not a number"),
     ],
 )
 def test_read_manifest_rejects_bad_rows(tmp_path, rows, header, match):

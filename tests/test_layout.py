@@ -1,6 +1,7 @@
 """Package layout: modules share only public names, objects share only
-public attributes, kd-trees are built in two places only, and
-``pcqa.__all__`` lists each exported name once, every one of them defined."""
+public attributes, kd-trees are built in two places only, the resolution
+estimators are spelled in ``metrics`` only, and ``pcqa.__all__`` lists each
+exported name once, every one of them defined."""
 
 import ast
 from collections import Counter
@@ -84,3 +85,19 @@ def test_every_export_is_defined_once():
     twice = [name for name, count in Counter(pcqa.__all__).items() if count > 1]
     missing = [name for name in pcqa.__all__ if not hasattr(pcqa, name)]
     assert twice == [] and missing == []
+
+
+def test_estimator_names_are_spelled_in_metrics_only():
+    # whole string constants only: a help text that mentions annk/apdk is fine,
+    # and so is ``__all__``, which names the functions ann and mnn
+    names = {"mnn", "ann", "annk", "apdk"}
+    found = []
+    for path in MODULES:
+        if path.name == "metrics.py":
+            continue
+        for stmt in ast.parse(path.read_text(encoding="utf-8"), filename=str(path)).body:
+            if isinstance(stmt, ast.Assign) and [getattr(t, "id", None) for t in stmt.targets] == ["__all__"]:
+                continue
+            found += [f"{path.name}:{node.lineno} spells {node.value!r}" for node in ast.walk(stmt)
+                      if isinstance(node, ast.Constant) and node.value in names]
+    assert found == []
