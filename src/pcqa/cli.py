@@ -18,6 +18,7 @@ codes:
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import os
@@ -146,7 +147,7 @@ def cmd_degrade(args) -> int:
         if args.octree_quantize < 1:
             raise UsageError(f"--octree-quantize needs at least 1 bit, got {args.octree_quantize}")
         if args.bitdepth is not None:
-            cloud = cloud.with_bit_depth(args.bitdepth)
+            cloud = require_bit_depth(cloud, args.bitdepth, args.ref)
         degraded = octree_quantize(cloud, args.octree_quantize)
     write_ply(degraded, args.out, format=BINARY_LE)
     return EXIT_OK
@@ -176,6 +177,10 @@ def cmd_benchmark(args) -> int:
         manifest = read_manifest(args.manifest)
     except ValueError as exc:
         raise PlyParseError(str(exc)) from None
+    try:
+        os.makedirs(args.out, exist_ok=True)  # before scoring, so a bad --out fails fast
+    except FileExistsError:  # a file of that name
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), args.out) from None
 
     reports = run_benchmark(
         manifest,
@@ -188,7 +193,6 @@ def cmd_benchmark(args) -> int:
     if not reports:
         raise ValueError("no group had at least 5 finite stimuli; nothing to report")
 
-    os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "report.csv")
     json_path = os.path.join(args.out, "report.json")
     config = {

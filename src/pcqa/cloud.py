@@ -107,14 +107,20 @@ class UnknownBitDepth(ValueError):
 
 
 def require_bit_depth(cloud: PointCloud, bit_depth: int | None, name: str) -> PointCloud:
-    """``cloud`` with ``bit_depth``, or with the depth inferred from it; when
-    neither is possible, UnknownBitDepth names the cloud by ``name``."""
+    """``cloud`` with ``bit_depth`` (the ``--bitdepth`` flag), or with the
+    depth inferred from it.  When neither is possible, UnknownBitDepth names
+    the cloud by ``name``; a given depth the coordinates do not fit is a
+    ValueError naming the cloud and the flag."""
     if bit_depth is None:
         try:
             bit_depth = infer_bit_depth(cloud)
         except ValueError as exc:
             raise UnknownBitDepth(f"{name}: {exc}") from None
-    return cloud.with_bit_depth(bit_depth)
+        return cloud.with_bit_depth(bit_depth)
+    try:
+        return cloud.with_bit_depth(bit_depth)
+    except ValueError as exc:
+        raise ValueError(f"{name}: --bitdepth {bit_depth}: {exc}") from None
 
 
 def precision_peak(bit_depth: int) -> float:

@@ -9,6 +9,7 @@ actual MOS, per stimulus group and pooled over all groups.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
 import warnings
@@ -232,7 +233,15 @@ def read_manifest(path) -> list[StimulusRecord]:
     base = os.path.dirname(os.path.abspath(path))
     records: list[StimulusRecord] = []
     seen: set[str] = set()
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"manifest {path} line {line}: not UTF-8 "
+                         f"(byte 0x{raw[exc.start]:02x} at offset {exc.start})") from None
+    with io.StringIO(text, newline="") as fh:
         reader = csv.DictReader(fh)
         missing = [c for c in MANIFEST_COLUMNS if c not in (reader.fieldnames or ())]
         if missing:
@@ -307,8 +316,8 @@ def benchmark_scores(
     """Objective scores for every stimulus (rows) and metric variant (columns).
 
     References recurring across stimuli are loaded and prepared once, so each
-    gets one kd-tree, one kNN graph per k, one set of normals and one value
-    per resolution estimate for the whole run.  A variant that needs the
+    gets one kd-tree, one streamed kNN pass per k, one set of normals and one
+    value per resolution estimate for the whole run.  A variant that needs the
     coordinate precision takes it from ``bit_depth`` or infers it from each
     reference (``cloud.require_bit_depth``).
     """

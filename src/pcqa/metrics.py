@@ -205,66 +205,127 @@ def _require_points(cloud: PointCloud, what: str) -> None:
 
 
 class PreparedCloud:
-    """A cloud plus its kd-tree, self-excluded kNN graph per k, normals and
-    resolution values, each built on first use and at most once; it serves
-    one scoring call or one benchmark run.  Normals and APD_k read neighbor
-    indices, so they use the graph at exactly their own k.  MNN, ANN and
-    ANN_k read only sorted distances, which do not depend on how ties are
-    broken, so they cut the first k columns of a graph built at a larger k.
+    """A cloud plus its kd-tree, normals and resolution values, each computed
+    on first use and at most once; it serves one scoring call or one
+    benchmark run.  Whatever reads self-excluded k-neighborhoods comes from
+    ``_stream``, one blocked pass over the cloud per k that keeps per-row
+    results only.  Normals and APD_k read neighbor indices, so they take the
+    pass at exactly their own k.  MNN, ANN and ANN_k read only sorted
+    distances, which do not depend on how ties are broken, so they ride
+    along on a pass at their own or a larger k.
     """
 
     def __init__(self, cloud: PointCloud, normal_k: int = DEFAULT_NORMAL_K):
         self.cloud = cloud
         self.normal_k = normal_k
-        self._graphs: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._resolutions: dict[tuple[ResolutionEstimator, int | None], float] = {}
+        self._normals = cloud.normals if cloud.has_normals else None
+        # resolution values by (estimator, k as read); APD_K keeps its mean square
+        self._values: dict[tuple[ResolutionEstimator, int | None], float] = {}
 
     @cached_property
     def index(self) -> NeighborIndex:
         return NeighborIndex(self.cloud)
 
-    def graph(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """Self-excluded k nearest neighbors of every point: (indices, distances)."""
-        if k not in self._graphs:
-            self._graphs[k] = self.index.self_excluded_neighbors(k)
-        return self._graphs[k]
-
-    @cached_property
+    @property
     def normals(self) -> np.ndarray:
-        """The cloud's own normals, or PCA normals from ``graph(normal_k)``."""
-        if self.cloud.has_normals:
-            return self.cloud.normals
-        k = self.normal_k  # a k below 3 is left to the estimator to report
-        idx = self.graph(k)[0] if k >= 3 else None
-        return _normals.normal_vectors(self.cloud, k, neighbors=idx)[0]
+        """The cloud's own normals, or PCA normals estimated at ``normal_k``."""
+        self._fill(normals=True)
+        return self._normals
+
+    def normals_at(self, rows: np.ndarray) -> np.ndarray:
+        """The normals at ``rows`` (repeats allowed).  Unless all of the
+        cloud's normals are known, only its distinct ``rows`` are estimated,
+        by a pass over them alone, and nothing is kept."""
+        if self._normals is not None:
+            return self._normals[rows]
+        matched = np.zeros(len(self.cloud), dtype=bool)
+        matched[rows] = True
+        distinct = np.flatnonzero(matched)
+        return self._stream(self.normal_k, distinct, normals=True)[0][np.searchsorted(distinct, rows)]
 
     def apd_mean_square(self, k: int) -> float:
-        """Mean over all pairs of max(d**2 - (o . n)**2, 0): d the graph
-        distance, o the neighbor offset, n the center's normal."""
-        idx, dists = self.graph(k)
-        normals, points = self.normals, self.cloud.points
-        row_sums = np.empty(len(points))
-        for start in range(0, len(points), _normals.BLOCK_ROWS):
-            rows = slice(start, start + _normals.BLOCK_ROWS)
-            offsets = points[idx[rows]] - points[rows, None, :]  # (B, k, 3)
-            # elementwise: einsum may sum in another order for a one-row block
-            along = sum(offsets[:, :, j] * normals[rows, j, None] for j in range(3))
-            row_sums[rows] = np.maximum(dists[rows] ** 2 - along * along, 0.0).sum(axis=1)
-        return float(np.mean(row_sums)) / k
+        """Mean over all pairs of max(d**2 - (o . n)**2, 0): d the distance to
+        one of a point's k nearest neighbors, o its offset, n the point's normal."""
+        self._fill([(ResolutionEstimator.APD_K, k)])
+        return self._values[ResolutionEstimator.APD_K, k]
 
     def resolution(self, estimator: ResolutionEstimator, k: int | None = None) -> float:
         """One resolution estimate, memoized; ``k`` as ``ResolutionEstimator.read_k`` reads it."""
         k = estimator.read_k(k)
-        if (estimator, k) not in self._resolutions:
-            if estimator is ResolutionEstimator.APD_K:
-                value = math.sqrt(self.apd_mean_square(k))
-            else:  # distances only: cut from the smallest graph built at this width or more
-                width = 1 if k is None else k  # MNN and ANN read the nearest neighbor
-                have = min((h for h in self._graphs if h >= width), default=width)
-                d = self.graph(have)[1][:, :width]
-                value = d.max() if estimator is ResolutionEstimator.MNN else np.sqrt(np.mean(d * d))
-            self._resolutions[estimator, k] = float(value)
-        return self._resolutions[estimator, k]
+        self._fill([(estimator, k)])
+        value = self._values[estimator, k]
+        return math.sqrt(value) if estimator is ResolutionEstimator.APD_K else value
+
+    def _fill(self, wanted=(), normals: bool = False) -> None:
+        """Compute the ``wanted`` (estimator, k) values not yet known, and the
+        normals when ``normals`` is set or an APD_k needs them.  The normals'
+        pass at ``normal_k`` runs first, then one pass per other APD k; each
+        distance-only value rides along on the narrowest of these that is at
+        least as wide as it, or else on one pass at the widest of them."""
+        todo = [key for key in dict.fromkeys(wanted) if key not in self._values]
+        apd = {k for estimator, k in todo if estimator is ResolutionEstimator.APD_K}
+        estimate = self._normals is None and (normals or bool(apd))
+        passes: dict[int, list] = {k: [] for k in apd}  # k -> distance-only keys it serves
+        if estimate:
+            passes.setdefault(self.normal_k, [])
+        width_of = {key: key[1] or 1 for key in todo if key[0] is not ResolutionEstimator.APD_K}
+        widest = max(width_of.values(), default=0)
+        for key, width in width_of.items():
+            passes.setdefault(min((k for k in passes if k >= width), default=widest), []).append(key)
+
+        for k in sorted(passes, key=lambda k: (k != self.normal_k, -k)):
+            with_normals = estimate and k == self.normal_k
+            normals_, apd_sums, nearest, sums = self._stream(
+                k, normals=with_normals, apd=k in apd, widths={width_of[key] for key in passes[k]})
+            if with_normals:
+                self._normals = normals_
+            if k in apd:
+                self._values[ResolutionEstimator.APD_K, k] = float(np.mean(apd_sums)) / k
+            for key in passes[k]:
+                if key[0] is ResolutionEstimator.MNN:
+                    value = nearest.max()
+                elif width_of[key] == 1:  # ANN, and ANN_K at k=1
+                    value = np.sqrt(np.mean(nearest * nearest))
+                else:
+                    value = math.sqrt(float(np.mean(sums[width_of[key]])) / width_of[key])
+                self._values[key] = float(value)
+
+    def _stream(self, k: int, rows: np.ndarray | None = None, *, normals: bool = False,
+                apd: bool = False, widths=()) -> tuple:
+        """One pass at ``k`` over ``rows`` (an index array, default every
+        point) in blocks of ``normals.BLOCK_ROWS``.  Each block gets one
+        self-excluded k-nearest-neighbor query, from which its normals (if
+        ``normals``), its APD_k row sums (if ``apd``), its nearest distances
+        (if ``widths``) and, for each width w > 1 in ``widths``, its row sums
+        of squared distances to the w nearest are written into per-row
+        arrays.  Returns (normals, APD_k sums, nearest, {w: sums}), None
+        where not asked for; no (rows, k) array outlives its block."""
+        if normals and k < 3:
+            _normals.normal_vectors(self.cloud, k)  # the estimator reports a k below 3
+        index, points = self.index, self.cloud.points  # the index rejects an empty cloud
+        rows = np.arange(len(points)) if rows is None else rows
+        n = len(rows)
+        out_normals = np.empty((n, 3)) if normals else None
+        apd_sums = np.empty(n) if apd else None
+        nearest = np.empty(n) if widths else None
+        sums = {w: np.empty(n) for w in widths if w > 1}
+        for start in range(0, n, _normals.BLOCK_ROWS):
+            block = slice(start, start + _normals.BLOCK_ROWS)
+            centers = rows[block]
+            idx, dists = index.self_excluded_neighbors(k, centers)
+            if normals:
+                out_normals[block] = _normals.normal_vectors(self.cloud, k, neighbors=idx)[0]
+            if apd:
+                center_normals = out_normals[block] if normals else self._normals[centers]
+                offsets = points[idx] - points[centers, None, :]  # (B, k, 3)
+                # elementwise: einsum may sum in another order for a one-row block
+                along = sum(offsets[:, :, j] * center_normals[:, j, None] for j in range(3))
+                apd_sums[block] = np.maximum(dists**2 - along * along, 0.0).sum(axis=1)
+            if widths:
+                nearest[block] = dists[:, 0]
+            for w, row_sums in sums.items():
+                row_sums[block] = (dists[:, :w] ** 2).sum(axis=1)
+        return out_normals, apd_sums, nearest, sums
 
     def nearest(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """For every query point: (squared distance to, index of) its nearest
@@ -272,14 +333,13 @@ class PreparedCloud:
         idx, dists = self.index.query(points)
         return dists * dists, idx
 
-    def peak_numerators(self, peaks) -> dict[PeakSpec, tuple[float, float]]:
-        """``_peak_numerator`` of each peak.  Larger k go first, so that the
-        distance-only estimators cut an existing graph; the graphs are dropped
-        afterwards, while the normals and resolution values stay."""
-        specs = sorted(dict.fromkeys(peaks), key=lambda p: -(p.k or 1))
-        out = {peak: self._peak_numerator(peak) for peak in specs}
-        self._graphs.clear()
-        return out
+    def peak_numerators(self, peaks, *, normals: bool = False) -> dict[PeakSpec, tuple[float, float]]:
+        """``_peak_numerator`` of each peak.  The resolution values they read,
+        and the normals when ``normals`` is set, are computed together first,
+        in as few passes as ``_fill`` allows."""
+        specs = list(dict.fromkeys(peaks))
+        self._fill([(peak.estimator, peak.k) for peak in specs if peak.estimator is not None], normals)
+        return {peak: self._peak_numerator(peak) for peak in specs}
 
     def _peak_numerator(self, peak: PeakSpec) -> tuple[float, float]:
         """Peak value and PSNR numerator with this cloud as the reference.
@@ -327,8 +387,8 @@ def _mean_squared_errors(a: PointCloud, b: PreparedCloud, po2pl: bool) -> dict[E
     sq, idx = b.nearest(a.points)
     out = {ErrorKind.PO2PO: float(sq.mean())}
     if po2pl:
-        errors = a.points - b.cloud.points[idx]
-        proj = np.einsum("ij,ij->i", errors, b.normals[idx])
+        normals = b.normals_at(idx)  # before the errors, to keep the peak memory low
+        proj = np.einsum("ij,ij->i", a.points - b.cloud.points[idx], normals)
         out[ErrorKind.PO2PL] = float((proj * proj).mean())
     return out
 
@@ -455,19 +515,16 @@ def score_variants(
     """PSNR of degraded ``deg`` against reference ``ref`` (prepared with the
     same ``normal_k``) for every (error kind, peak) variant.  Correspondences
     and peaks are computed once and shared; ``ref`` keeps its normals and
-    peaks, not its graphs.  Each result equals a ``psnr`` call for it alone."""
+    resolution values.  ``deg``'s normals are estimated only at the rows that
+    ``ref``'s points match, the only ones the po2pl error reads.  Each result
+    equals a ``psnr`` call for it alone."""
     if pooling not in POOLING_MODES:
         raise ValueError(f"pooling must be one of {POOLING_MODES}, got {pooling!r}")
     _require_points(ref.cloud, "reference")
     _require_points(deg.cloud, "degraded")
 
-    # normals first, as their errors come first; then the peaks
     po2pl = any(kind is ErrorKind.PO2PL for kind, _ in variants)
-    if po2pl or any(peak.estimator is ResolutionEstimator.APD_K for _, peak in variants):
-        _ = ref.normals
-    if po2pl:
-        _ = deg.normals
-    peaks = ref.peak_numerators(peak for _, peak in variants)
+    peaks = ref.peak_numerators((peak for _, peak in variants), normals=po2pl)
     mse_ab = _mean_squared_errors(ref.cloud, deg, po2pl)
     mse_ba = _mean_squared_errors(deg.cloud, ref, po2pl)
 

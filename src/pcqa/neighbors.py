@@ -6,7 +6,7 @@ results match an exhaustive scan up to the ordering of equidistant
 neighbors.  Every lookup is one batch query on the cloud's one tree, and it
 keeps ``cKDTree``'s pick among equidistant points; a documented tie rule is
 still open (ROADMAP item 1).  This class holds the only size checks of a
-kNN graph: k against the cloud's size, and the empty cloud.
+kNN query: k against the cloud's size, and the empty cloud.
 """
 
 from __future__ import annotations
@@ -38,27 +38,34 @@ class NeighborIndex:
         dists, idx = self._tree.query(np.asarray(q, dtype=np.float64), k=k, workers=-1)
         return np.atleast_1d(idx), np.atleast_1d(dists)
 
-    def self_excluded_neighbors(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """k nearest neighbors of every member point, self excluded.
+    def self_excluded_neighbors(self, k: int, rows=None) -> tuple[np.ndarray, np.ndarray]:
+        """k nearest neighbors of the member points at ``rows`` (an index
+        array, default every point), self excluded.
 
-        Returns (indices, distances), each (N, k), rows ordered by
+        Returns (indices, distances), each (len(rows), k), rows ordered by
         non-decreasing distance.  Duplicate points are legitimate neighbors
         of each other at distance 0; only the queried index itself is
-        removed from its row.
+        removed from its row.  A row does not depend on which other rows are
+        queried with it.
         """
         n = len(self)
         if k < 1:
             raise ValueError(f"self-excluded queries need k >= 1, got {k}")
         if n < k + 1:
             raise ValueError(f"cloud of {n} points is too small for k={k} (need k+1 points)")
-        dists, idx = self._tree.query(self.cloud.points, k=k + 1, workers=-1)
+        if rows is None:
+            rows, queries = np.arange(n), self.cloud.points
+        else:
+            rows = np.asarray(rows)
+            queries = self.cloud.points[rows]
+        dists, idx = self._tree.query(queries, k=k + 1, workers=-1)
         # Column 0, usually the point itself, is dropped; rows where a duplicate
         # precedes it are shifted first.  A row of k+1 coincident duplicates may
         # lack the point; its farthest entry goes instead (a tie at the cut).
-        rows = np.flatnonzero(idx[:, 0] != np.arange(n))
-        self_pos = idx[rows] == rows[:, None]
+        bad = np.flatnonzero(idx[:, 0] != rows)
+        self_pos = idx[bad] == rows[bad, None]
         drop = np.where(self_pos.any(axis=1), self_pos.argmax(axis=1), k)
         keep = np.arange(k + 1) != drop[:, None]
-        idx[rows, 1:] = idx[rows][keep].reshape(-1, k)
-        dists[rows, 1:] = dists[rows][keep].reshape(-1, k)
+        idx[bad, 1:] = idx[bad][keep].reshape(-1, k)
+        dists[bad, 1:] = dists[bad][keep].reshape(-1, k)
         return idx[:, 1:], dists[:, 1:]

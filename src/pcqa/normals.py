@@ -57,21 +57,27 @@ def normal_vectors(
     neighborhood mean).  Sign carries no meaning and is canonicalized so the
     largest-magnitude component is positive.  A neighborhood of coincident
     points has no defined normal; those points get (0, 0, 1) and are flagged
-    in the returned mask, and a ``RuntimeWarning`` names how many there are.
-    ``neighbors`` may pass the (N, k) indices of
-    ``NeighborIndex.self_excluded_neighbors(k)`` when they are already known.
+    in the returned mask, and a ``RuntimeWarning`` names how many of the
+    estimated points there are.  ``neighbors`` may pass the (M, k) indices
+    of ``NeighborIndex.self_excluded_neighbors(k, rows)`` for M of the
+    cloud's points; then only those points are estimated, one row each.
+    A normal depends on its own neighborhood only, so it does not change
+    with the other points estimated.
     """
     if k < 3:
         raise ValueError(f"normal estimation needs k >= 3, got {k}")
-    if neighbors is None:
-        neighbors, _ = NeighborIndex(cloud).self_excluded_neighbors(k)
+    index = NeighborIndex(cloud) if neighbors is None else None
+    n = len(cloud) if neighbors is None else len(neighbors)
 
-    n = len(cloud)
     normals = np.empty((n, 3))
     degenerate = np.empty(n, dtype=bool)
     for start in range(0, n, BLOCK_ROWS):
         rows = slice(start, start + BLOCK_ROWS)
-        centered = cloud.points[neighbors[rows]]  # (B, k, 3)
+        if neighbors is not None:
+            idx = neighbors[rows]
+        else:  # queried block by block, so no (N, k) array is held
+            idx = index.self_excluded_neighbors(k, np.arange(start, min(start + BLOCK_ROWS, n)))[0]
+        centered = cloud.points[idx]  # (B, k, 3)
         centered -= centered.mean(axis=1, keepdims=True)
         cov = np.matmul(np.ascontiguousarray(centered.transpose(0, 2, 1)), centered) / k
         vectors, fallback, degenerate[rows] = _smallest_eigenvectors(cov)

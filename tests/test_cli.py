@@ -333,6 +333,29 @@ def test_a_directory_in_place_of_a_file_is_not_found(tmp_path, pair, manifest):
     assert "stimulus 's3'" in in_manifest.stderr
 
 
+def test_a_file_in_place_of_the_out_directory_is_not_found_before_scoring(tmp_path, manifest):
+    taken = tmp_path / "taken"
+    taken.write_text("keep")
+    (tmp_path / "d3.ply").unlink()  # scoring would fail on s3 first
+    proc = run_cli("benchmark", "--manifest", manifest, "--metric", "po2po:ld", "--out", taken)
+    assert proc.returncode == 3
+    assert proc.stderr == f"pcqa: error[not-found]: [Errno 20] Not a directory: '{taken}'\n"
+    assert taken.read_text() == "keep"
+
+
+def test_a_bit_depth_below_the_coordinates_names_the_file_and_flag(tmp_path, pair, manifest):
+    ref, deg = pair
+    outside = "--bitdepth 3: coordinates outside [0, 2**3 - 1] for the declared bit depth"
+    compare = run_cli("compare", "--ref", ref, "--deg", deg, "--bitdepth", 3)
+    degrade = run_cli("degrade", "--ref", ref, "--octree-quantize", 1, "--bitdepth", 3,
+                      "--out", tmp_path / "o.ply")
+    benchmark = run_cli("benchmark", "--manifest", manifest, "--metric", "po2po:precision",
+                        "--bitdepth", 3, "--out", tmp_path / "r")
+    for proc, path in ((compare, ref), (degrade, ref), (benchmark, tmp_path / "ref.ply")):
+        assert proc.returncode == 6
+        assert proc.stderr == f"pcqa: error[invalid-data]: {path}: {outside}\n"
+
+
 def test_invalid_data_in_a_ply_names_the_file(tmp_path, manifest):
     bad = tmp_path / "d3.ply"
     bad.write_bytes(ascii_ply(["0 0 0", "1 1e400 0"]))

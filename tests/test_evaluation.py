@@ -182,7 +182,8 @@ def test_correlation_input_validation():
 
 
 def write_manifest(path, rows, header="stimulus_id,group,reference,degraded,mos"):
-    path.write_text(header + "\n" + "\n".join(rows) + ("\n" if rows else ""))
+    text = header + "\n" + "\n".join(rows) + ("\n" if rows else "")
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))  # "\udcff" writes byte 0xff
 
 
 def test_read_manifest_resolves_paths_and_parses_mos(tmp_path):
@@ -215,6 +216,8 @@ def test_read_manifest_accepts_extra_columns(tmp_path):
         (["s1,g,b.ply,2"], "stimulus_id,group,degraded,mos", "missing column"),
         (["s1,g,a.ply,b.ply,2", "s4,noise,ref.plyd4.ply,1.9"], None, "line 3: expected 5 fields, got 4"),
         (["", "s1,g,a.ply,b.ply,x"], None, "line 3: MOS 'x' is not a number"),
+        (["s1,g,a.ply,b.ply,2", "s2,g,a.ply,b.ply,3\udcff"], None,
+         r"manifest \S+m\.csv line 3: not UTF-8 \(byte 0xff at offset 78\)"),
     ],
 )
 def test_read_manifest_rejects_bad_rows(tmp_path, rows, header, match):

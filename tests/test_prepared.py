@@ -1,7 +1,9 @@
-"""The prepared-cloud pipeline: one kd-tree per cloud, one kNN graph per k,
-built lazily, and results that do not depend on how the work is shared."""
+"""The prepared-cloud pipeline: one kd-tree per cloud, one streamed kNN pass
+per k, built lazily, and results that do not depend on how the work is
+shared."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ import scipy.spatial
 import pcqa.normals
 from pcqa import (
     ErrorKind,
+    NeighborIndex,
     PeakSpec,
     ResolutionEstimator,
     ann,
@@ -122,11 +125,12 @@ def test_distance_estimators_cut_from_a_larger_graph_are_exact(kdtree_calls):
     # voxel content: equidistant neighbors everywhere, so tie choices vary by k
     cloud = voxelized_sphere(n=1500, radius=30.0, bit_depth=7)
     prepared = PreparedCloud(cloud)
-    prepared.graph(10)
+    prepared.peak_numerators(PeakSpec.parse(label, k)
+                             for label, k in (("annk", 10), ("mnn", None), ("ann", None), ("annk", 4)))
     cut = [prepared.resolution(ResolutionEstimator.MNN),
            prepared.resolution(ResolutionEstimator.ANN),
            prepared.resolution(ResolutionEstimator.ANN_K, 4)]
-    assert kdtree_calls["query_k"] == [11]  # no query beyond the k=10 graph
+    assert kdtree_calls["query_k"] == [11]  # one k=10 pass serves all four
     assert cut == [mnn(cloud), ann(cloud), ann_k(cloud, 4)]
 
 
@@ -138,17 +142,61 @@ def test_prepared_values_equal_the_standalone_functions(rng):
     assert np.array_equal(prepared.normals, estimate_normals(cloud, k=8).normals)
 
 
+def _values(cloud):
+    prepared = PreparedCloud(cloud)
+    return [prepared.resolution(ResolutionEstimator.MNN), prepared.resolution(ResolutionEstimator.ANN),
+            prepared.resolution(ResolutionEstimator.ANN_K, 3), prepared.resolution(ResolutionEstimator.ANN_K),
+            prepared.apd_mean_square(10)]
+
+
 @pytest.mark.parametrize("block_rows", [7, 1])
 def test_block_size_does_not_change_any_bit(monkeypatch, block_rows):
     cloud = voxelized_sphere(n=1500, radius=30.0, bit_depth=7)
     jittered = gaussian_jitter(cloud, 0.4, seed=1)
     assert len(cloud) % 7 and len(jittered) % 7
-    want = [normal_vectors(c, k=10) for c in (cloud, jittered)]
-    want_apd = [PreparedCloud(c).apd_mean_square(10) for c in (cloud, jittered)]
+    clouds = (cloud, jittered)
+    matched = [PreparedCloud(c).nearest(other.points)[1] for c, other in zip(clouds, clouds[::-1])]
+    want = [normal_vectors(c, k=10) for c in clouds]
+    want_values = [_values(c) for c in clouds]
+    want_at = [PreparedCloud(c).normals_at(rows) for c, rows in zip(clouds, matched)]
 
     monkeypatch.setattr(pcqa.normals, "BLOCK_ROWS", block_rows)
-    for c, (normals, degenerate), apd in zip((cloud, jittered), want, want_apd):
+    for c, (normals, degenerate), values, rows, at in zip(clouds, want, want_values, matched, want_at):
         got, got_degenerate = normal_vectors(c, k=10)
         assert np.array_equal(got, normals)
         assert np.array_equal(got_degenerate, degenerate)
-        assert PreparedCloud(c).apd_mean_square(10) == apd
+        assert _values(c) == values  # MNN, ANN, ANN_k (3 and 10) and the APD_k mean square
+        assert np.array_equal(PreparedCloud(c).normals_at(rows), at)
+
+
+def test_matched_row_normals_equal_the_whole_cloud_normals(kdtree_calls):
+    cloud = voxelized_sphere(n=1500, radius=30.0, bit_depth=7)
+    jittered = gaussian_jitter(cloud, 0.4, seed=1)
+    for c, other in ((cloud, jittered), (jittered, cloud)):
+        whole = normal_vectors(c, k=10)[0]
+        prepared = PreparedCloud(c)
+        rows = prepared.nearest(other.points)[1]  # repeats, and not every row
+        assert 0 < len(np.unique(rows)) < len(c)
+        kdtree_calls["query_k"] = []
+        assert np.array_equal(prepared.normals_at(rows), whole[rows])
+        assert kdtree_calls["query_k"] == [11]  # one pass over the matched rows
+        distinct = np.unique(rows)
+        subset = NeighborIndex(c).self_excluded_neighbors(10, distinct)[0]
+        assert np.array_equal(normal_vectors(c, k=10, neighbors=subset)[0], whole[distinct])
+
+
+def test_po2pl_keeps_no_neighbor_array_beyond_a_block(monkeypatch):
+    # 2048-row blocks: a whole (N, k+1) query would dwarf every per-row array
+    ref = voxelized_sphere(n=150_000, radius=60.0, bit_depth=8)
+    deg = gaussian_jitter(ref, 0.4, seed=1)
+    monkeypatch.setattr(pcqa.normals, "BLOCK_ROWS", 2048)
+    ra_psnr(ref, deg, ErrorKind.PO2PL)  # imports and caches outside the traced call
+    tracemalloc.start()
+    try:
+        ra_psnr(ref, deg, ErrorKind.PO2PL)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    one_graph = len(ref) * (10 + 1) * (8 + 8)  # int64 indices plus float64 distances
+    assert len(ref) > 50_000
+    assert peak < one_graph
