@@ -232,16 +232,26 @@ class PreparedCloud:
         self._fill(normals=True)
         return self._normals
 
-    def normals_at(self, rows: np.ndarray) -> np.ndarray:
-        """The normals at ``rows`` (repeats allowed).  Unless all of the
-        cloud's normals are known, only its distinct ``rows`` are estimated,
-        by a pass over them alone, and nothing is kept."""
-        if self._normals is not None:
-            return self._normals[rows]
-        matched = np.zeros(len(self.cloud), dtype=bool)
-        matched[rows] = True
-        distinct = np.flatnonzero(matched)
-        return self._stream(self.normal_k, distinct, normals=True)[0][np.searchsorted(distinct, rows)]
+    def normals_at(self, rows: np.ndarray):
+        """An iterator of (block, the normals at ``rows[block]``) over blocks
+        of ``normals.BLOCK_ROWS`` entries of ``rows`` (repeats allowed).
+        Unless all of the cloud's normals are known, only its distinct
+        ``rows`` are estimated, by one pass over them alone within this
+        call, and nothing is kept."""
+        normals, distinct = self._normals, None
+        if normals is None:
+            matched = np.zeros(len(self.cloud), dtype=bool)
+            matched[rows] = True
+            distinct = np.flatnonzero(matched)
+            normals = self._stream(self.normal_k, distinct, normals=True)[0]
+
+        def blocks():
+            for start in range(0, len(rows), _normals.BLOCK_ROWS):
+                block = slice(start, start + _normals.BLOCK_ROWS)
+                at = rows[block] if distinct is None else np.searchsorted(distinct, rows[block])
+                yield block, normals[at]
+
+        return blocks()
 
     def apd_mean_square(self, k: int) -> float:
         """Mean over all pairs of max(d**2 - (o . n)**2, 0): d the distance to
@@ -386,10 +396,13 @@ def nn_squared_errors(a: PointCloud, b: PointCloud) -> tuple[np.ndarray, np.ndar
 def _mean_squared_errors(a: PointCloud, b: PreparedCloud, po2pl: bool) -> dict[ErrorKind, float]:
     sq, idx = b.nearest(a.points)
     out = {ErrorKind.PO2PO: float(sq.mean())}
-    if po2pl:
-        normals = b.normals_at(idx)  # before the errors, to keep the peak memory low
-        proj = np.einsum("ij,ij->i", a.points - b.cloud.points[idx], normals)
-        out[ErrorKind.PO2PL] = float((proj * proj).mean())
+    if po2pl:  # block by block, so no (N, 3) array is made
+        blocks = b.normals_at(idx)  # the matched normals first, to keep the peak memory low
+        errors = np.empty(len(idx))
+        for block, normals in blocks:
+            proj = np.einsum("ij,ij->i", a.points[block] - b.cloud.points[idx[block]], normals)
+            errors[block] = proj * proj
+        out[ErrorKind.PO2PL] = float(errors.mean())
     return out
 
 

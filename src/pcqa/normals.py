@@ -10,7 +10,7 @@ from .cloud import PointCloud
 from .neighbors import NeighborIndex
 
 DEFAULT_NORMAL_K = 10
-BLOCK_ROWS = 65536  # rows per block in the per-point kernels, which bounds their temporaries
+BLOCK_ROWS = 16384  # rows per block in the per-point kernels, which bounds their temporaries
 _EIGH_GAP = 1e-6  # relative gap of the two smallest eigenvalues below which eigh takes over
 
 

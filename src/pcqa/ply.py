@@ -243,8 +243,9 @@ def _read_binary_body(stream, elements, cols) -> np.ndarray:
             )
         if element.name == "vertex":
             rows = np.frombuffer(body, dtype=dtype, count=element.count, offset=offset)
-            names = [element.properties[c].name for c in cols]
-            data = np.column_stack([rows[name] for name in names]).astype(np.float64)
+            data = np.empty((element.count, len(cols)))  # one copy, filled column by column
+            for j, c in enumerate(cols):
+                data[:, j] = rows[element.properties[c].name]
         offset += nbytes
     return data
 

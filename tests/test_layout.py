@@ -101,3 +101,25 @@ def test_estimator_names_are_spelled_in_metrics_only():
             found += [f"{path.name}:{node.lineno} spells {node.value!r}" for node in ast.walk(stmt)
                       if isinstance(node, ast.Constant) and node.value in names]
     assert found == []
+
+
+def _name(node) -> str | None:
+    """The name a Name or an Attribute node ends in."""
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def test_per_point_kernels_step_by_the_one_block_constant():
+    # ply keeps its own _ASCII_BLOCK_ROWS, which bounds token lists, not kernels
+    steps, owners = [], []
+    for path in MODULES:
+        for node, scope in _scoped_nodes(path):
+            if (path.name in ("metrics.py", "normals.py") and isinstance(node, ast.Call)
+                    and _name(node.func) == "range" and len(node.args) == 3):
+                steps.append((f"{path.name}:{node.lineno}", _name(node.args[2])))
+            if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                owners += [(path.name, scope) for target in targets for name in ast.walk(target)
+                           if _name(name) == "BLOCK_ROWS"]
+    assert steps
+    assert [where for where, step in steps if step != "BLOCK_ROWS"] == []
+    assert owners == [("normals.py", "")]

@@ -168,6 +168,39 @@ def test_binary_vertices_parse_mixed_property_types():
     cloud = read_ply(header + body)
     assert np.array_equal(cloud.points, [[1.5, 2.5, 3.5], [4.0, 5.0, 6.0]])
 
+    # coordinates of three types, converted exactly into float64
+    header = (
+        b"ply\nformat binary_little_endian 1.0\n"
+        b"element vertex 3\n"
+        b"property float x\nproperty int y\nproperty uchar z\n"
+        b"property double nx\nproperty float ny\nproperty float nz\n"
+        b"end_header\n"
+    )
+    row = np.dtype([("x", "<f4"), ("y", "<i4"), ("z", "u1"), ("nx", "<f8"), ("ny", "<f4"), ("nz", "<f4")])
+    rows = np.array([(0.1, -2**31, 255, 1.0, 0.0, 0.0), (16777217.0, 2**31 - 1, 0, 0.0, 0.6, 0.8),
+                     (-1e-30, 7, 9, 0.0, 0.0, 1.0)], dtype=row)
+    cloud = read_ply(header + rows.tobytes())
+    assert cloud.points.dtype == np.float64
+    assert np.array_equal(cloud.points, np.column_stack([rows[name].astype(np.float64) for name in "xyz"]))
+
+
+def test_binary_vertices_are_copied_once(tmp_path):
+    cloud = PointCloud(np.random.default_rng(0).uniform(0.0, 1023.0, (100_000, 3)))
+    path = tmp_path / "big.ply"
+    write_ply(cloud, path, format=BINARY_LE)
+    read_ply(path)  # imports and caches outside the traced call
+    tracemalloc.start()
+    try:
+        back = read_ply(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back.points, cloud.points)
+    # the body and one float64 copy of its rows, then those rows and the
+    # cloud's own points: two copies at a time, where a second copy beside
+    # the body makes three
+    assert peak < 2.5 * cloud.points.nbytes
+
 
 @pytest.mark.parametrize(
     "mutate,match,line",

@@ -29,7 +29,7 @@ from pcqa import (
     write_ply,
 )
 from pcqa.evaluation import benchmark_scores, full_variant_matrix, read_manifest
-from pcqa.metrics import PreparedCloud
+from pcqa.metrics import PreparedCloud, score_variants
 from shapes import random_cloud, voxelized_sphere
 
 
@@ -149,6 +149,17 @@ def _values(cloud):
             prepared.apd_mean_square(10)]
 
 
+def _normals_at(prepared, rows):
+    """``PreparedCloud.normals_at``'s blocks joined, each checked to be the next slice of ``rows``."""
+    got, stop = [], 0
+    for block, normals in prepared.normals_at(rows):
+        assert block.start == stop and len(normals) == len(rows[block])
+        got.append(normals)
+        stop += len(normals)
+    assert stop == len(rows)
+    return np.concatenate(got)
+
+
 @pytest.mark.parametrize("block_rows", [7, 1])
 def test_block_size_does_not_change_any_bit(monkeypatch, block_rows):
     cloud = voxelized_sphere(n=1500, radius=30.0, bit_depth=7)
@@ -158,7 +169,9 @@ def test_block_size_does_not_change_any_bit(monkeypatch, block_rows):
     matched = [PreparedCloud(c).nearest(other.points)[1] for c, other in zip(clouds, clouds[::-1])]
     want = [normal_vectors(c, k=10) for c in clouds]
     want_values = [_values(c) for c in clouds]
-    want_at = [PreparedCloud(c).normals_at(rows) for c, rows in zip(clouds, matched)]
+    want_at = [_normals_at(PreparedCloud(c), rows) for c, rows in zip(clouds, matched)]
+    want_po2pl = [psnr(a, b, ErrorKind.PO2PL, PeakSpec.rendering()).to_dict()
+                  for a, b in zip(clouds, clouds[::-1])]  # both directions
 
     monkeypatch.setattr(pcqa.normals, "BLOCK_ROWS", block_rows)
     for c, (normals, degenerate), values, rows, at in zip(clouds, want, want_values, matched, want_at):
@@ -166,7 +179,9 @@ def test_block_size_does_not_change_any_bit(monkeypatch, block_rows):
         assert np.array_equal(got, normals)
         assert np.array_equal(got_degenerate, degenerate)
         assert _values(c) == values  # MNN, ANN, ANN_k (3 and 10) and the APD_k mean square
-        assert np.array_equal(PreparedCloud(c).normals_at(rows), at)
+        assert np.array_equal(_normals_at(PreparedCloud(c), rows), at)
+    assert [psnr(a, b, ErrorKind.PO2PL, PeakSpec.rendering()).to_dict()
+            for a, b in zip(clouds, clouds[::-1])] == want_po2pl
 
 
 def test_matched_row_normals_equal_the_whole_cloud_normals(kdtree_calls):
@@ -178,7 +193,7 @@ def test_matched_row_normals_equal_the_whole_cloud_normals(kdtree_calls):
         rows = prepared.nearest(other.points)[1]  # repeats, and not every row
         assert 0 < len(np.unique(rows)) < len(c)
         kdtree_calls["query_k"] = []
-        assert np.array_equal(prepared.normals_at(rows), whole[rows])
+        assert np.array_equal(_normals_at(prepared, rows), whole[rows])
         assert kdtree_calls["query_k"] == [11]  # one pass over the matched rows
         distinct = np.unique(rows)
         subset = NeighborIndex(c).self_excluded_neighbors(10, distinct)[0]
@@ -200,3 +215,27 @@ def test_po2pl_keeps_no_neighbor_array_beyond_a_block(monkeypatch):
     one_graph = len(ref) * (10 + 1) * (8 + 8)  # int64 indices plus float64 distances
     assert len(ref) > 50_000
     assert peak < one_graph
+
+
+def test_po2pl_error_makes_no_per_point_vector_array(monkeypatch):
+    # trees, normals and peaks are ready before the trace, which then holds
+    # the po2pl error of both directions: per-row outputs and one block
+    ref = voxelized_sphere(n=150_000, radius=60.0, bit_depth=8)
+    deg = gaussian_jitter(ref, 0.4, seed=1)
+    monkeypatch.setattr(pcqa.normals, "BLOCK_ROWS", 2048)
+    prepared = [PreparedCloud(c) for c in (ref, deg)]
+    for p in prepared:
+        p.normals  # every normal known, so the traced stage estimates none
+    variant = [(ErrorKind.PO2PL, PeakSpec.largest_diagonal())]
+    want = score_variants(*prepared, variant)  # imports and caches outside the traced call
+    tracemalloc.start()
+    try:
+        got = score_variants(*prepared, variant)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    n = max(len(ref), len(deg))
+    assert n > 50_000
+    per_row = 3 * n * 8  # squared distances, matched rows and po2pl errors
+    assert peak < per_row + 3 * n * 8  # one (N, 3) float64 array would fill the margin
