@@ -10,16 +10,18 @@ import numpy as np
 UNIT_NORMAL_TOL = 1e-9
 
 
-def _as_points_array(values) -> np.ndarray:
-    arr = np.array(values, dtype=np.float64, copy=True)
-    if arr.ndim == 1 and arr.size == 0:
-        arr = arr.reshape(0, 3)
-    if arr.ndim != 2 or arr.shape[1] != 3:
-        raise ValueError(f"expected an (N, 3) array of coordinates, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValueError("coordinates must be finite")
-    arr.setflags(write=False)
-    return arr
+def _read_only(values) -> np.ndarray:
+    """``values`` as a read-only float64 array: a view of it when it is a
+    C-contiguous one that no writable array beneath it (its ``.base`` chain)
+    can change, else a copy."""
+    base = values
+    while type(base) is np.ndarray and not base.flags.writeable:
+        base = base.base
+    if base is None and getattr(values, "dtype", None) == np.float64 and values.flags.c_contiguous:
+        return values.view()  # a read-only flag of its own, which the owner cannot turn back on
+    values = np.array(values, dtype=np.float64, copy=True)
+    values.setflags(write=False)
+    return values
 
 
 @dataclass(frozen=True, eq=False)
@@ -30,8 +32,8 @@ class PointCloud:
     order.  ``normals``, when present, is an (N, 3) array of unit vectors.
     ``bit_depth`` declares that every coordinate lies on the integer grid
     [0, 2**bit_depth - 1] (voxelized content); it is None for free-range
-    clouds.  Arrays are marked read-only so a cloud can be shared across
-    threads without copies.
+    clouds.  Arrays are read-only, so clouds and threads share them: an input
+    that is already a read-only float64 array is kept, not copied.
     """
 
     points: np.ndarray
@@ -39,9 +41,16 @@ class PointCloud:
     bit_depth: int | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "points", _as_points_array(self.points))
+        points = _read_only(self.points)
+        if points.ndim == 1 and points.size == 0:
+            points = points.reshape(0, 3)
+        if points.ndim != 2 or points.shape[1] != 3:
+            raise ValueError(f"expected an (N, 3) array of coordinates, got shape {points.shape}")
+        if not np.isfinite(points).all():
+            raise ValueError("coordinates must be finite")
+        object.__setattr__(self, "points", points)
         if self.normals is not None:
-            normals = np.array(self.normals, dtype=np.float64, copy=True)
+            normals = _read_only(self.normals)
             if normals.shape != self.points.shape:
                 raise ValueError(
                     f"normals shape {normals.shape} does not match points shape {self.points.shape}"
@@ -53,7 +62,6 @@ class PointCloud:
             if not np.all(np.abs(norms - 1.0) <= UNIT_NORMAL_TOL):
                 worst = float(np.abs(norms - 1.0).max()) if norms.size else 0.0
                 raise ValueError(f"normals must be unit length within {UNIT_NORMAL_TOL} (worst |err|={worst:g})")
-            normals.setflags(write=False)
             object.__setattr__(self, "normals", normals)
         if self.bit_depth is not None:
             b = int(self.bit_depth)
@@ -73,11 +81,11 @@ class PointCloud:
         return self.normals is not None
 
     def with_normals(self, normals: np.ndarray) -> "PointCloud":
-        """Return a copy of this cloud carrying the given unit normals."""
+        """This cloud, its points shared, carrying the given unit normals."""
         return PointCloud(self.points, normals=normals, bit_depth=self.bit_depth)
 
     def with_bit_depth(self, bit_depth: int | None) -> "PointCloud":
-        """Return a copy of this cloud with the coordinate bit depth replaced."""
+        """This cloud, its arrays shared, with the coordinate bit depth replaced."""
         return replace(self, bit_depth=bit_depth)
 
 

@@ -10,6 +10,7 @@ and the density-adaptive RA-PSNR combination of resolution and precision.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
@@ -219,6 +220,7 @@ class PreparedCloud:
         self.cloud = cloud
         self.normal_k = normal_k
         self._normals = cloud.normals if cloud.has_normals else None
+        self.degenerate: np.ndarray | None = None  # mask of the (0, 0, 1) placeholder normals, once estimated
         # resolution values by (estimator, k as read); APD_K keeps its mean square
         self._values: dict[tuple[ResolutionEstimator, int | None], float] = {}
 
@@ -285,10 +287,10 @@ class PreparedCloud:
 
         for k in sorted(passes, key=lambda k: (k != self.normal_k, -k)):
             with_normals = estimate and k == self.normal_k
-            normals_, apd_sums, nearest, sums = self._stream(
+            normals_, degenerate, apd_sums, nearest, sums = self._stream(
                 k, normals=with_normals, apd=k in apd, widths={width_of[key] for key in passes[k]})
             if with_normals:
-                self._normals = normals_
+                self._normals, self.degenerate = normals_, degenerate
             if k in apd:
                 self._values[ResolutionEstimator.APD_K, k] = float(np.mean(apd_sums)) / k
             for key in passes[k]:
@@ -304,18 +306,20 @@ class PreparedCloud:
                 apd: bool = False, widths=()) -> tuple:
         """One pass at ``k`` over ``rows`` (an index array, default every
         point) in blocks of ``normals.BLOCK_ROWS``.  Each block gets one
-        self-excluded k-nearest-neighbor query, from which its normals (if
-        ``normals``), its APD_k row sums (if ``apd``), its nearest distances
-        (if ``widths``) and, for each width w > 1 in ``widths``, its row sums
-        of squared distances to the w nearest are written into per-row
-        arrays.  Returns (normals, APD_k sums, nearest, {w: sums}), None
-        where not asked for; no (rows, k) array outlives its block."""
+        self-excluded k-nearest-neighbor query, from which its normals and
+        degenerate mask (if ``normals``), its APD_k row sums (if ``apd``),
+        its nearest distances (if ``widths``) and, for each width w > 1 in
+        ``widths``, its row sums of squared distances to the w nearest are
+        written into per-row arrays.  Returns (normals, degenerate, APD_k
+        sums, nearest, {w: sums}), None where not asked for; no (rows, k)
+        array outlives its block.  One warning counts the degenerate rows."""
         if normals and k < 3:
-            _normals.normal_vectors(self.cloud, k)  # the estimator reports a k below 3
+            raise ValueError(f"normal estimation needs k >= 3, got {k}")
         index, points = self.index, self.cloud.points  # the index rejects an empty cloud
         rows = np.arange(len(points)) if rows is None else rows
         n = len(rows)
         out_normals = np.empty((n, 3)) if normals else None
+        degenerate = np.empty(n, dtype=bool) if normals else None
         apd_sums = np.empty(n) if apd else None
         nearest = np.empty(n) if widths else None
         sums = {w: np.empty(n) for w in widths if w > 1}
@@ -324,7 +328,7 @@ class PreparedCloud:
             centers = rows[block]
             idx, dists = index.self_excluded_neighbors(k, centers)
             if normals:
-                out_normals[block] = _normals.normal_vectors(self.cloud, k, neighbors=idx)[0]
+                out_normals[block], degenerate[block] = _normals.normal_vectors(self.cloud, k, neighbors=idx)
             if apd:
                 center_normals = out_normals[block] if normals else self._normals[centers]
                 offsets = points[idx] - points[centers, None, :]  # (B, k, 3)
@@ -335,7 +339,10 @@ class PreparedCloud:
                 nearest[block] = dists[:, 0]
             for w, row_sums in sums.items():
                 row_sums[block] = (dists[:, :w] ** 2).sum(axis=1)
-        return out_normals, apd_sums, nearest, sums
+        if normals and degenerate.any():
+            warnings.warn(f"{int(degenerate.sum())} of {n} points have degenerate (coincident) "
+                          "neighborhoods; their normals were set to (0, 0, 1)", RuntimeWarning, stacklevel=2)
+        return out_normals, degenerate, apd_sums, nearest, sums
 
     def nearest(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """For every query point: (squared distance to, index of) its nearest

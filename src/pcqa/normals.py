@@ -2,12 +2,9 @@
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 from .cloud import PointCloud
-from .neighbors import NeighborIndex
 
 DEFAULT_NORMAL_K = 10
 BLOCK_ROWS = 16384  # rows per block in the per-point kernels, which bounds their temporaries
@@ -50,53 +47,37 @@ def _smallest_eigenvectors(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
 def normal_vectors(
     cloud: PointCloud, k: int = DEFAULT_NORMAL_K, *, neighbors: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Estimate unit normals for every point; returns (normals, degenerate mask).
+    """Estimate unit normals; returns (normals, degenerate mask).
 
     The normal at a point is the eigenvector of smallest eigenvalue of the
     covariance of its k nearest neighbors (self excluded, centered at the
     neighborhood mean).  Sign carries no meaning and is canonicalized so the
     largest-magnitude component is positive.  A neighborhood of coincident
     points has no defined normal; those points get (0, 0, 1) and are flagged
-    in the returned mask, and a ``RuntimeWarning`` names how many of the
-    estimated points there are.  ``neighbors`` may pass the (M, k) indices
-    of ``NeighborIndex.self_excluded_neighbors(k, rows)`` for M of the
-    cloud's points; then only those points are estimated, one row each.
-    A normal depends on its own neighborhood only, so it does not change
-    with the other points estimated.
+    in the returned mask.
+
+    Without ``neighbors`` this is one ``metrics.PreparedCloud`` pass over
+    every point (the cloud's own normals are ignored): it needs k >= 3 and
+    warns once with the count of degenerate points.  ``neighbors``, the
+    (M, k) ``NeighborIndex.self_excluded_neighbors(k, rows)`` of one block,
+    makes this that pass's kernel: those M rows only, unchecked, unwarned.
+    A normal depends on its own neighborhood only, not on the rows beside it.
     """
-    if k < 3:
-        raise ValueError(f"normal estimation needs k >= 3, got {k}")
-    index = NeighborIndex(cloud) if neighbors is None else None
-    n = len(cloud) if neighbors is None else len(neighbors)
+    if neighbors is None:
+        from .metrics import PreparedCloud  # here, not at the top: metrics imports this module
 
-    normals = np.empty((n, 3))
-    degenerate = np.empty(n, dtype=bool)
-    for start in range(0, n, BLOCK_ROWS):
-        rows = slice(start, start + BLOCK_ROWS)
-        if neighbors is not None:
-            idx = neighbors[rows]
-        else:  # queried block by block, so no (N, k) array is held
-            idx = index.self_excluded_neighbors(k, np.arange(start, min(start + BLOCK_ROWS, n)))[0]
-        centered = cloud.points[idx]  # (B, k, 3)
-        centered -= centered.mean(axis=1, keepdims=True)
-        cov = np.matmul(np.ascontiguousarray(centered.transpose(0, 2, 1)), centered) / k
-        vectors, fallback, degenerate[rows] = _smallest_eigenvectors(cov)
-        if fallback.any():
-            # einsum's sums: on a repeated eigenvalue eigh's pick turns on the last bit
-            c = centered[fallback]
-            vectors[fallback] = np.linalg.eigh(np.einsum("nki,nkj->nij", c, c) / k)[1][:, :, 0]
-        normals[rows] = vectors
+        prepared = PreparedCloud(PointCloud(cloud.points), k)
+        return prepared.normals, prepared.degenerate
+    centered = cloud.points[neighbors]  # (M, k, 3)
+    centered -= centered.mean(axis=1, keepdims=True)
+    cov = np.matmul(np.ascontiguousarray(centered.transpose(0, 2, 1)), centered) / k
+    normals, fallback, degenerate = _smallest_eigenvectors(cov)
+    if fallback.any():
+        # einsum's sums: on a repeated eigenvalue eigh's pick turns on the last bit
+        c = centered[fallback]
+        normals[fallback] = np.linalg.eigh(np.einsum("nki,nkj->nij", c, c) / k)[1][:, :, 0]
     normals[degenerate] = (0.0, 0.0, 1.0)  # all-coincident neighborhoods have zero covariance
-    if degenerate.any():
-        warnings.warn(
-            f"{int(degenerate.sum())} of {n} points have degenerate "
-            "(coincident) neighborhoods; their normals were set to (0, 0, 1)",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-
-    norms = np.linalg.norm(normals, axis=1)
-    normals /= norms[:, None]
+    normals /= np.linalg.norm(normals, axis=1)[:, None]
     # deterministic sign: flip so the largest-|component| entry is positive
     lead = np.take_along_axis(normals, np.abs(normals).argmax(axis=1)[:, None], axis=1)[:, 0]
     normals[lead < 0.0] *= -1.0

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pcqa import PointCloud, infer_bit_depth, precision_peak
+from pcqa.cloud import require_bit_depth
 
 
 def test_points_are_copied_and_read_only():
@@ -13,6 +14,50 @@ def test_points_are_copied_and_read_only():
     assert cloud.points[0, 0] == 0.0
     with pytest.raises(ValueError):
         cloud.points[0, 0] = 1.0
+
+
+def test_read_only_float64_arrays_are_shared_not_copied():
+    cloud = PointCloud(np.arange(12.0).reshape(4, 3), normals=np.tile([0.0, 0.0, 1.0], (4, 1)))
+    assert np.shares_memory(cloud.with_bit_depth(10).points, cloud.points)
+    assert np.shares_memory(require_bit_depth(cloud, None, "ref").points, cloud.points)
+    renormaled = cloud.with_normals(cloud.normals)
+    assert np.shares_memory(renormaled.points, cloud.points)
+    assert np.shares_memory(renormaled.normals, cloud.normals)
+    frozen = np.arange(12.0).reshape(4, 3).copy()  # owns its memory: no writable base
+    frozen.setflags(write=False)
+    kept = PointCloud(frozen)
+    assert kept.points.base is frozen
+    assert PointCloud(frozen[1:]).points.base is frozen  # a read-only view of it is kept too
+    frozen.setflags(write=True)  # the owner may; the cloud's own view stays read-only
+    assert not kept.points.flags.writeable
+
+
+def _handed_over(kind: str, values: np.ndarray):
+    """(the array a caller hands to a cloud, the caller's object that can still write it)"""
+    if kind == "writable":
+        return values, values
+    if kind == "read-only view of a writable array":
+        owner, view = values, values.view()
+    else:
+        owner = bytearray(values.tobytes())
+        view = np.frombuffer(owner).reshape(values.shape)
+    view.setflags(write=False)
+    return view, owner
+
+
+@pytest.mark.parametrize(
+    "kind", ["writable", "read-only view of a writable array", "read-only view of a bytearray"])
+def test_arrays_the_caller_can_still_write_are_copied(kind):
+    points, point_owner = _handed_over(kind, np.arange(12.0).reshape(4, 3))
+    normals, normal_owner = _handed_over(kind, np.tile([0.0, 0.0, 1.0], (4, 1)))
+    cloud = PointCloud(points, normals=normals)
+    assert not np.shares_memory(cloud.points, points)
+    assert not np.shares_memory(cloud.normals, normals)
+    for owner in (point_owner, normal_owner):
+        (np.frombuffer(owner) if isinstance(owner, bytearray) else owner.reshape(-1))[:3] = (0.0, 1.0, 0.0)
+    assert points[0].tolist() == normals[0].tolist() == [0.0, 1.0, 0.0]  # the caller's arrays moved
+    assert cloud.points[0].tolist() == [0.0, 1.0, 2.0]
+    assert cloud.normals[0].tolist() == [0.0, 0.0, 1.0]
 
 
 def test_rejects_bad_shapes():

@@ -1,5 +1,5 @@
 """Package layout: modules share only public names, objects share only
-public attributes, kd-trees are built in two places only, the resolution
+public attributes, kd-trees are built in one place only, the resolution
 estimators are spelled in ``metrics`` only, and ``pcqa.__all__`` lists each
 exported name once, every one of them defined."""
 
@@ -57,12 +57,12 @@ def _scoped_nodes(path: Path):
     yield from walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), "")
 
 
-# a cloud gets one tree, in PreparedCloud; normal_vectors builds one only
-# when it is called on a bare cloud without neighbors
-INDEX_BUILDERS = {("metrics.py", "PreparedCloud.index"), ("normals.py", "normal_vectors")}
+# a cloud gets one tree, in PreparedCloud; normal_vectors on a bare cloud
+# is a PreparedCloud pass, so it builds none of its own
+INDEX_BUILDERS = {("metrics.py", "PreparedCloud.index")}
 
 
-def test_neighbor_index_is_built_in_two_places_only():
+def test_neighbor_index_is_built_in_one_place_only():
     builders = [
         (path.name, scope) for path in MODULES for node, scope in _scoped_nodes(path)
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)

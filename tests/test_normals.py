@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from pcqa import (
     normal_vectors,
     psnr,
 )
+from pcqa.metrics import PreparedCloud
 from shapes import fibonacci_sphere, planar_grid, voxelized_sphere
 
 
@@ -64,6 +67,33 @@ def test_degenerate_neighborhoods_are_flagged_and_warned():
         psnr(PointCloud(pts), PointCloud(pts + 0.5), ErrorKind.PO2PL, PeakSpec.largest_diagonal(),
              normal_k=3)
     assert caught[0].filename.endswith("metrics.py")
+
+
+def test_degenerate_warning_counts_the_pass_once(monkeypatch):
+    # 8 sites, each repeated 12 times: every k=10 neighborhood is coincident
+    cloud = PointCloud(np.repeat(np.arange(24.0).reshape(8, 3), 12, axis=0))
+    n = len(cloud)
+    monkeypatch.setattr(pcqa.normals, "BLOCK_ROWS", 7)  # 14 blocks, each all degenerate
+    rows = np.arange(0, n, 3)
+    for estimate, count in ((lambda: PreparedCloud(cloud).normals, n),
+                            (lambda: normal_vectors(cloud), n),
+                            (lambda: list(PreparedCloud(cloud).normals_at(rows)), len(rows))):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            estimate()
+        assert [str(w.message).split(" have ")[0] for w in caught] == [f"{count} of {count} points"]
+        assert caught[0].category is RuntimeWarning
+
+
+def test_the_k_rule_is_reported_before_the_index_checks():
+    # two points are too few for k=2, and k=0 is no kNN query at all; the
+    # normal estimator's own rule is named first
+    cloud = PointCloud(np.zeros((2, 3)))
+    with pytest.raises(ValueError, match=r"^normal estimation needs k >= 3, got 2$"):
+        normal_vectors(cloud, k=2)
+    with pytest.raises(ValueError, match=r"^normal estimation needs k >= 3, got 0$"):
+        psnr(cloud, PointCloud(np.ones((2, 3))), ErrorKind.PO2PL, PeakSpec.largest_diagonal(),
+             normal_k=0)
 
 
 def test_collinear_points_get_a_perpendicular_normal():

@@ -105,7 +105,7 @@ def test_resolution_queries_only_at_its_own_k(kdtree_calls, pair):
     assert kdtree_calls["query_k"] == [2]  # one self-excluded k=1 query
 
 
-def test_normals_are_estimated_through_the_module_attribute(monkeypatch, pair):
+def test_normals_are_estimated_through_the_module_attribute(monkeypatch, kdtree_calls, pair):
     calls = []
     inner = pcqa.normals.normal_vectors
 
@@ -116,6 +116,17 @@ def test_normals_are_estimated_through_the_module_attribute(monkeypatch, pair):
     monkeypatch.setattr(pcqa.normals, "normal_vectors", counted)
     ra_psnr(*pair, ErrorKind.PO2PL)
     assert calls == [True, True]  # once per cloud, from the shared graph
+
+    # the public call is one PreparedCloud pass: one tree, the kernel once per block
+    ref, _ = pair
+    monkeypatch.setattr(pcqa.normals, "BLOCK_ROWS", 512)
+    calls.clear()
+    kdtree_calls["builds"], kdtree_calls["query_k"] = 0, []
+    normal_vectors(ref)
+    blocks = math.ceil(len(ref) / 512)
+    assert blocks >= 3
+    assert calls == [True] * blocks
+    assert kdtree_calls["builds"] == 1 and kdtree_calls["query_k"] == [11] * blocks
 
 
 # ------------------------------------------------------- same results
