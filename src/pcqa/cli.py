@@ -13,6 +13,9 @@ codes:
     4  file or manifest parse failure
     5  degenerate (zero) peak value
     6  invalid data for the requested computation
+
+An error is one ``pcqa: error[category]: ...`` line on stderr, and each
+warning a command shows one ``pcqa: warning: ...`` line.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import json
 import math
 import os
 import sys
+import warnings
 
 from .cloud import UnknownBitDepth, require_bit_depth
 from .degrade import gaussian_jitter, octree_quantize
@@ -297,23 +301,29 @@ def _fail(category: str, message: str, code: int) -> int:
     return code
 
 
+def _warn(message, category, filename, lineno, file=None, line=None) -> None:
+    sys.stderr.write(f"pcqa: warning: {message}\n")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except UsageError as exc:
-        return _fail("usage", str(exc), EXIT_USAGE)
-    except UnknownBitDepth as exc:
-        return _fail("usage", f"--bitdepth required: {exc}", EXIT_USAGE)
-    except (FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
-        return _fail("not-found", str(exc), EXIT_NOT_FOUND)
-    except PlyParseError as exc:
-        return _fail("parse", str(exc), EXIT_PARSE)
-    except ZeroPeakError as exc:
-        return _fail("zero-peak", str(exc), EXIT_ZERO_PEAK)
-    except ValueError as exc:
-        return _fail("invalid-data", str(exc), EXIT_INVALID_DATA)
+    with warnings.catch_warnings():
+        warnings.showwarning = _warn  # one line each, without the source path and line
+        try:
+            return args.func(args)
+        except UsageError as exc:
+            return _fail("usage", str(exc), EXIT_USAGE)
+        except UnknownBitDepth as exc:
+            return _fail("usage", f"--bitdepth required: {exc}", EXIT_USAGE)
+        except (FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
+            return _fail("not-found", str(exc), EXIT_NOT_FOUND)
+        except PlyParseError as exc:
+            return _fail("parse", str(exc), EXIT_PARSE)
+        except ZeroPeakError as exc:
+            return _fail("zero-peak", str(exc), EXIT_ZERO_PEAK)
+        except ValueError as exc:
+            return _fail("invalid-data", str(exc), EXIT_INVALID_DATA)
 
 
 if __name__ == "__main__":

@@ -22,7 +22,6 @@ from .metrics import (
     DEFAULT_ESTIMATOR_K,
     ErrorKind,
     PeakSpec,
-    PreparedCloud,
     ResolutionEstimator,
     score_variants,
 )
@@ -291,8 +290,8 @@ def score_pair(
     them across variants, so results equal per-variant ``metrics.psnr``
     calls exactly at a fraction of the cost.
     """
-    ref, deg = PreparedCloud(ref, normal_k), PreparedCloud(deg, normal_k)
-    return [r.psnr_pooled for r in score_variants(ref, deg, variants, pooling=pooling)]
+    results = score_variants(ref, deg, variants, pooling=pooling, normal_k=normal_k)
+    return [r.psnr_pooled for r in results]
 
 
 def _load_cloud(path: str, stimulus_id: str) -> PointCloud:
@@ -315,9 +314,9 @@ def benchmark_scores(
 ) -> np.ndarray:
     """Objective scores for every stimulus (rows) and metric variant (columns).
 
-    References recurring across stimuli are loaded and prepared once, so each
-    gets one kd-tree, one streamed kNN pass per k, one set of normals and one
-    value per resolution estimate for the whole run.  A variant that needs the
+    References recurring across stimuli are loaded once, so each keeps one
+    kd-tree, one streamed kNN pass per k, one set of normals and one value
+    per resolution estimate for the whole run.  A variant that needs the
     coordinate precision takes it from ``bit_depth`` or infers it from each
     reference (``cloud.require_bit_depth``).
     """
@@ -327,17 +326,18 @@ def benchmark_scores(
         raise ValueError("no metric variants given")
     needs_bits = any(peak.needs_bit_depth for _, peak in metrics)
 
-    references: dict[str, PreparedCloud] = {}
+    references: dict[str, PointCloud] = {}
     scores = np.empty((len(manifest), len(metrics)), dtype=np.float64)
     for row, stim in enumerate(manifest):
         ref = references.get(stim.reference)
         if ref is None:
-            cloud = _load_cloud(stim.reference, stim.stimulus_id)
+            ref = _load_cloud(stim.reference, stim.stimulus_id)
             if needs_bits:
-                cloud = require_bit_depth(cloud, bit_depth, stim.reference)
-            ref = references[stim.reference] = PreparedCloud(cloud, normal_k)
-        deg = PreparedCloud(_load_cloud(stim.degraded, stim.stimulus_id), normal_k)
-        scores[row] = [r.psnr_pooled for r in score_variants(ref, deg, metrics, pooling=pooling)]
+                ref = require_bit_depth(ref, bit_depth, stim.reference)
+            references[stim.reference] = ref
+        deg = _load_cloud(stim.degraded, stim.stimulus_id)
+        scores[row] = [r.psnr_pooled
+                       for r in score_variants(ref, deg, metrics, pooling=pooling, normal_k=normal_k)]
     return scores
 
 

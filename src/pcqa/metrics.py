@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+import weakref
+from dataclasses import dataclass, field, replace
 from enum import Enum
-from functools import cached_property
 
 import numpy as np
 
@@ -205,34 +205,71 @@ def _require_points(cloud: PointCloud, what: str) -> None:
         raise ValueError(f"{what} cloud is empty")
 
 
+@dataclass
+class _CloudState:
+    """What pcqa keeps about one cloud while the cloud lives.  It holds the
+    cloud's read-only arrays (through the index) but never the cloud."""
+
+    index: NeighborIndex | None = None
+    normals: dict = field(default_factory=dict)  # normal_k -> (estimated normals, degenerate mask)
+    values: dict = field(default_factory=dict)  # _value_key -> resolution value; APD_K its mean square
+
+
+# Keyed by the cloud itself (PointCloud hashes by identity), so each entry
+# goes when its cloud does.
+_STATES: weakref.WeakKeyDictionary[PointCloud, _CloudState] = weakref.WeakKeyDictionary()
+
+
 class PreparedCloud:
     """A cloud plus its kd-tree, normals and resolution values, each computed
-    on first use and at most once; it serves one scoring call or one
-    benchmark run.  Whatever reads self-excluded k-neighborhoods comes from
-    ``_stream``, one blocked pass over the cloud per k that keeps per-row
-    results only.  Normals and APD_k read neighbor indices, so they take the
-    pass at exactly their own k.  MNN, ANN and ANN_k read only sorted
-    distances, which do not depend on how ties are broken, so they ride
-    along on a pass at their own or a larger k.
+    on first use and kept in a store that lives exactly as long as the
+    cloud: every ``PreparedCloud`` of the same cloud shares them.  Whatever
+    reads self-excluded k-neighborhoods comes from ``_stream``, one blocked
+    pass over the cloud per k that keeps per-row results only.  Normals and
+    APD_k read neighbor indices, so they take the pass at exactly their own
+    k.  MNN, ANN and ANN_k read only sorted distances, which do not depend
+    on how ties are broken, so they ride along on a pass at their own or a
+    larger k.
     """
 
     def __init__(self, cloud: PointCloud, normal_k: int = DEFAULT_NORMAL_K):
         self.cloud = cloud
         self.normal_k = normal_k
-        self._normals = cloud.normals if cloud.has_normals else None
-        self.degenerate: np.ndarray | None = None  # mask of the (0, 0, 1) placeholder normals, once estimated
-        # resolution values by (estimator, k as read); APD_K keeps its mean square
-        self._values: dict[tuple[ResolutionEstimator, int | None], float] = {}
+        self._state = _STATES.setdefault(cloud, _CloudState())
 
-    @cached_property
+    @property
     def index(self) -> NeighborIndex:
-        return NeighborIndex(self.cloud)
+        if self._state.index is None:
+            self._state.index = NeighborIndex(self.cloud)
+        return self._state.index
+
+    @property
+    def _normals(self) -> np.ndarray | None:
+        """The cloud's own normals, those estimated at ``normal_k``, or None."""
+        if self.cloud.has_normals:
+            return self.cloud.normals
+        return self._state.normals.get(self.normal_k, (None, None))[0]
+
+    @property
+    def degenerate(self) -> np.ndarray | None:
+        """Mask of the (0, 0, 1) placeholder normals, once estimated at ``normal_k``."""
+        return self._state.normals.get(self.normal_k, (None, None))[1]
 
     @property
     def normals(self) -> np.ndarray:
         """The cloud's own normals, or PCA normals estimated at ``normal_k``."""
         self._fill(normals=True)
         return self._normals
+
+    def estimate_normals(self) -> tuple[np.ndarray, np.ndarray]:
+        """PCA normals at ``normal_k`` and their degenerate mask from a pass
+        of their own, as new writable arrays that nothing keeps (``normals``
+        is the kept, read-only result)."""
+        return self._stream(self.normal_k, normals=True)[:2]
+
+    def _value_key(self, estimator: ResolutionEstimator, k: int | None) -> tuple:
+        """Store key of a value: APD_k reads the normals, so also ``normal_k``."""
+        return estimator, k, self.normal_k if estimator is ResolutionEstimator.APD_K else None
 
     def normals_at(self, rows: np.ndarray):
         """An iterator of (block, the normals at ``rows[block]``) over blocks
@@ -259,13 +296,13 @@ class PreparedCloud:
         """Mean over all pairs of max(d**2 - (o . n)**2, 0): d the distance to
         one of a point's k nearest neighbors, o its offset, n the point's normal."""
         self._fill([(ResolutionEstimator.APD_K, k)])
-        return self._values[ResolutionEstimator.APD_K, k]
+        return self._state.values[self._value_key(ResolutionEstimator.APD_K, k)]
 
     def resolution(self, estimator: ResolutionEstimator, k: int | None = None) -> float:
         """One resolution estimate, memoized; ``k`` as ``ResolutionEstimator.read_k`` reads it."""
         k = estimator.read_k(k)
         self._fill([(estimator, k)])
-        value = self._values[estimator, k]
+        value = self._state.values[self._value_key(estimator, k)]
         return math.sqrt(value) if estimator is ResolutionEstimator.APD_K else value
 
     def _fill(self, wanted=(), normals: bool = False) -> None:
@@ -274,7 +311,8 @@ class PreparedCloud:
         pass at ``normal_k`` runs first, then one pass per other APD k; each
         distance-only value rides along on the narrowest of these that is at
         least as wide as it, or else on one pass at the widest of them."""
-        todo = [key for key in dict.fromkeys(wanted) if key not in self._values]
+        values = self._state.values
+        todo = [key for key in dict.fromkeys(wanted) if self._value_key(*key) not in values]
         apd = {k for estimator, k in todo if estimator is ResolutionEstimator.APD_K}
         estimate = self._normals is None and (normals or bool(apd))
         passes: dict[int, list] = {k: [] for k in apd}  # k -> distance-only keys it serves
@@ -290,9 +328,11 @@ class PreparedCloud:
             normals_, degenerate, apd_sums, nearest, sums = self._stream(
                 k, normals=with_normals, apd=k in apd, widths={width_of[key] for key in passes[k]})
             if with_normals:
-                self._normals, self.degenerate = normals_, degenerate
+                normals_.setflags(write=False)  # shared by every later call on this cloud
+                degenerate.setflags(write=False)
+                self._state.normals[self.normal_k] = normals_, degenerate
             if k in apd:
-                self._values[ResolutionEstimator.APD_K, k] = float(np.mean(apd_sums)) / k
+                values[self._value_key(ResolutionEstimator.APD_K, k)] = float(np.mean(apd_sums)) / k
             for key in passes[k]:
                 if key[0] is ResolutionEstimator.MNN:
                     value = nearest.max()
@@ -300,7 +340,7 @@ class PreparedCloud:
                     value = np.sqrt(np.mean(nearest * nearest))
                 else:
                     value = math.sqrt(float(np.mean(sums[width_of[key]])) / width_of[key])
-                self._values[key] = float(value)
+                values[self._value_key(*key)] = float(value)
 
     def _stream(self, k: int, rows: np.ndarray | None = None, *, normals: bool = False,
                 apd: bool = False, widths=()) -> tuple:
@@ -526,42 +566,45 @@ def _normals_source(cloud: PointCloud, used: bool) -> str:
 
 
 def score_variants(
-    ref: PreparedCloud,
-    deg: PreparedCloud,
+    a: PointCloud,
+    b: PointCloud,
     variants: list[tuple[ErrorKind, PeakSpec]],
     *,
     pooling: str = "max",
+    normal_k: int = DEFAULT_NORMAL_K,
 ) -> list[MetricResult]:
-    """PSNR of degraded ``deg`` against reference ``ref`` (prepared with the
-    same ``normal_k``) for every (error kind, peak) variant.  Correspondences
-    and peaks are computed once and shared; ``ref`` keeps its normals and
-    resolution values.  ``deg``'s normals are estimated only at the rows that
-    ``ref``'s points match, the only ones the po2pl error reads.  Each result
+    """PSNR of degraded cloud ``b`` against reference ``a`` for every (error
+    kind, peak) variant.  Correspondences and peaks are computed once and
+    shared; the reference's normals and resolution values, and both trees,
+    are kept with the clouds for later calls.  ``b``'s normals are
+    estimated only at the rows that ``a``'s points match, the only ones the
+    po2pl error reads, unless all of them are known already.  Each result
     equals a ``psnr`` call for it alone."""
     if pooling not in POOLING_MODES:
         raise ValueError(f"pooling must be one of {POOLING_MODES}, got {pooling!r}")
-    _require_points(ref.cloud, "reference")
-    _require_points(deg.cloud, "degraded")
+    _require_points(a, "reference")
+    _require_points(b, "degraded")
+    ref, deg = PreparedCloud(a, normal_k), PreparedCloud(b, normal_k)
 
     po2pl = any(kind is ErrorKind.PO2PL for kind, _ in variants)
     peaks = ref.peak_numerators((peak for _, peak in variants), normals=po2pl)
-    mse_ab = _mean_squared_errors(ref.cloud, deg, po2pl)
-    mse_ba = _mean_squared_errors(deg.cloud, ref, po2pl)
+    mse_ab = _mean_squared_errors(a, deg, po2pl)
+    mse_ba = _mean_squared_errors(b, ref, po2pl)
 
     results = []
     for kind, peak in variants:
         peak_value, numerator = peaks[peak]
         uses_ref = kind is ErrorKind.PO2PL or peak.estimator is ResolutionEstimator.APD_K
-        normals_a = _normals_source(ref.cloud, uses_ref)
-        normals_b = _normals_source(deg.cloud, kind is ErrorKind.PO2PL)
-        normal_k = ref.normal_k if "estimated" in (normals_a, normals_b) else None
+        normals_a = _normals_source(a, uses_ref)
+        normals_b = _normals_source(b, kind is ErrorKind.PO2PL)
         psnr_ab = _db(numerator, mse_ab[kind])
         psnr_ba = _db(numerator, mse_ba[kind])
         results.append(MetricResult(
             psnr_ab=psnr_ab, psnr_ba=psnr_ba, psnr_pooled=_pool(psnr_ab, psnr_ba, pooling),
             mse_ab=mse_ab[kind], mse_ba=mse_ba[kind], peak_value=peak_value,
-            error_kind=kind, peak=peak, pooling=pooling, bit_depth=ref.cloud.bit_depth,
-            normal_k=normal_k, normals_a=normals_a, normals_b=normals_b,
+            error_kind=kind, peak=peak, pooling=pooling, bit_depth=a.bit_depth,
+            normal_k=normal_k if "estimated" in (normals_a, normals_b) else None,
+            normals_a=normals_a, normals_b=normals_b,
         ))
     return results
 
@@ -591,8 +634,7 @@ def psnr(
     ``ZeroPeakError``.  This is ``score_variants`` with one variant.
     """
     variant = (kind, PeakSpec.precision() if peak is None else peak)
-    ref, deg = PreparedCloud(a, normal_k), PreparedCloud(b, normal_k)
-    return score_variants(ref, deg, [variant], pooling=pooling)[0]
+    return score_variants(a, b, [variant], pooling=pooling, normal_k=normal_k)[0]
 
 
 _RA_ESTIMATORS = (ResolutionEstimator.ANN, ResolutionEstimator.ANN_K, ResolutionEstimator.APD_K)

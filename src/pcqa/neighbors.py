@@ -11,31 +11,43 @@ kNN query: k against the cloud's size, and the empty cloud.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 from .cloud import PointCloud
 
 
+def _workers() -> int:
+    """Query threads: the cores this process may run on, read at query time.
+    (scipy's ``workers=-1`` takes ``os.cpu_count()``, which ignores affinity.)"""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 class NeighborIndex:
-    """Spatial index answering exact nearest-neighbor queries."""
+    """Spatial index answering exact nearest-neighbor queries.  It keeps the
+    cloud's read-only points, not the cloud, so it never keeps a cloud alive."""
 
     def __init__(self, cloud: PointCloud):
         if len(cloud) == 0:
             raise ValueError("cannot index an empty cloud")
         from scipy.spatial import cKDTree
 
-        self.cloud = cloud
-        self._tree = cKDTree(cloud.points)
+        self.points = cloud.points
+        self._tree = cKDTree(self.points)
 
     def __len__(self) -> int:
-        return len(self.cloud)
+        return len(self.points)
 
     def query(self, q, k: int = 1) -> tuple[np.ndarray, np.ndarray]:
         """Indices and distances of the k points nearest to ``q`` (ascending);
         ``q`` is one point or an (M, 3) array of them."""
         if not 1 <= k <= len(self):
             raise ValueError(f"k must be in [1, {len(self)}], got {k}")
-        dists, idx = self._tree.query(np.asarray(q, dtype=np.float64), k=k, workers=-1)
+        dists, idx = self._tree.query(np.asarray(q, dtype=np.float64), k=k, workers=_workers())
         return np.atleast_1d(idx), np.atleast_1d(dists)
 
     def self_excluded_neighbors(self, k: int, rows=None) -> tuple[np.ndarray, np.ndarray]:
@@ -54,11 +66,11 @@ class NeighborIndex:
         if n < k + 1:
             raise ValueError(f"cloud of {n} points is too small for k={k} (need k+1 points)")
         if rows is None:
-            rows, queries = np.arange(n), self.cloud.points
+            rows, queries = np.arange(n), self.points
         else:
             rows = np.asarray(rows)
-            queries = self.cloud.points[rows]
-        dists, idx = self._tree.query(queries, k=k + 1, workers=-1)
+            queries = self.points[rows]
+        dists, idx = self._tree.query(queries, k=k + 1, workers=_workers())
         # Column 0, usually the point itself, is dropped; rows where a duplicate
         # precedes it are shifted first.  A row of k+1 coincident duplicates may
         # lack the point; its farthest entry goes instead (a tie at the cut).

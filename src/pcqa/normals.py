@@ -57,8 +57,10 @@ def normal_vectors(
     in the returned mask.
 
     Without ``neighbors`` this is one ``metrics.PreparedCloud`` pass over
-    every point (the cloud's own normals are ignored): it needs k >= 3 and
-    warns once with the count of degenerate points.  ``neighbors``, the
+    every point of a new cloud of the same points, so the cloud's own normals
+    are ignored, nothing is kept with it and the caller owns (and may write)
+    the returned arrays: it needs k >= 3 and warns once with the count of
+    degenerate points.  ``neighbors``, the
     (M, k) ``NeighborIndex.self_excluded_neighbors(k, rows)`` of one block,
     makes this that pass's kernel: those M rows only, unchecked, unwarned.
     A normal depends on its own neighborhood only, not on the rows beside it.
@@ -66,8 +68,7 @@ def normal_vectors(
     if neighbors is None:
         from .metrics import PreparedCloud  # here, not at the top: metrics imports this module
 
-        prepared = PreparedCloud(PointCloud(cloud.points), k)
-        return prepared.normals, prepared.degenerate
+        return PreparedCloud(PointCloud(cloud.points), k).estimate_normals()
     centered = cloud.points[neighbors]  # (M, k, 3)
     centered -= centered.mean(axis=1, keepdims=True)
     cov = np.matmul(np.ascontiguousarray(centered.transpose(0, 2, 1)), centered) / k
@@ -87,4 +88,6 @@ def normal_vectors(
 def estimate_normals(cloud: PointCloud, k: int = DEFAULT_NORMAL_K) -> PointCloud:
     """Return a copy of the cloud with PCA-estimated unit normals attached;
     ``normal_vectors`` also returns the degeneracy mask."""
-    return cloud.with_normals(normal_vectors(cloud, k)[0])
+    normals = normal_vectors(cloud, k)[0]
+    normals.setflags(write=False)  # fresh and ours, so the new cloud keeps it uncopied
+    return cloud.with_normals(normals)

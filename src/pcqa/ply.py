@@ -276,6 +276,7 @@ def read_ply(source) -> PointCloud:
         data = _ascii_vertices(lines, elements, header_lines, cols)
     else:
         data = _read_binary_body(source, elements, cols)
+    data.setflags(write=False)  # a fresh array, so without normals the cloud keeps it uncopied
     normals = _renormalize(data[:, 3:]) if len(cols) == 6 else None
     return PointCloud(data[:, :3], normals=normals)
 

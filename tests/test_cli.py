@@ -384,6 +384,16 @@ def run_main(*args) -> tuple[int, str, str]:
     return code, stdout.getvalue(), stderr.getvalue()
 
 
+def test_a_warning_is_one_pcqa_line_on_stderr(tmp_path):
+    # 32 sites, each repeated 12 times: every normal's neighborhood is coincident
+    path = tmp_path / "coincident.ply"
+    write_ply(PointCloud(np.repeat(np.arange(96.0).reshape(32, 3), 12, axis=0)), path)
+    code, out, err = run_main("resolution", "--ref", path, "--peak", "apdk")
+    assert (code, out) == (0, "apdk(k=10) = 0.000000000  [normals: estimated, normal-k=10]\n")
+    assert err == ("pcqa: warning: 384 of 384 points have degenerate (coincident) neighborhoods; "
+                   "their normals were set to (0, 0, 1)\n")
+
+
 @pytest.mark.parametrize("k", [None, -1, 0, 1, 5])
 @pytest.mark.parametrize("estimator", list(ResolutionEstimator), ids=lambda e: e.value)
 def test_estimator_k_rule_is_the_same_at_every_entry_point(voxel_pair, estimator, k):

@@ -1,7 +1,7 @@
 """Package layout: modules share only public names, objects share only
-public attributes, kd-trees are built in one place only, the resolution
-estimators are spelled in ``metrics`` only, and ``pcqa.__all__`` lists each
-exported name once, every one of them defined."""
+public attributes, kd-trees and per-cloud state are built in one place
+only, the resolution estimators are spelled in ``metrics`` only, and
+``pcqa.__all__`` lists each exported name once, every one of them defined."""
 
 import ast
 from collections import Counter
@@ -57,18 +57,30 @@ def _scoped_nodes(path: Path):
     yield from walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), "")
 
 
+def _calls(name: str) -> list[tuple[str, str]]:
+    """(module, scope) of every call of the bare name ``name`` in pcqa."""
+    return [
+        (path.name, scope) for path in MODULES for node, scope in _scoped_nodes(path)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == name
+    ]
+
+
 # a cloud gets one tree, in PreparedCloud; normal_vectors on a bare cloud
 # is a PreparedCloud pass, so it builds none of its own
 INDEX_BUILDERS = {("metrics.py", "PreparedCloud.index")}
+# what a cloud keeps for its lifetime is created, and its store read, in one place
+STATE_OWNER = ("metrics.py", "PreparedCloud.__init__")
 
 
 def test_neighbor_index_is_built_in_one_place_only():
-    builders = [
-        (path.name, scope) for path in MODULES for node, scope in _scoped_nodes(path)
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-        and node.func.id == "NeighborIndex"
-    ]
-    assert sorted(builders) == sorted(INDEX_BUILDERS)
+    assert sorted(_calls("NeighborIndex")) == sorted(INDEX_BUILDERS)
+
+
+def test_per_cloud_state_is_created_in_one_place_only():
+    assert _calls("_CloudState") == [STATE_OWNER]
+    readers = [(path.name, scope) for path in MODULES for node, scope in _scoped_nodes(path)
+               if isinstance(node, ast.Name) and node.id == "_STATES"]
+    assert sorted(set(readers)) == [("metrics.py", ""), STATE_OWNER]  # its definition, its one user
 
 
 def test_private_attributes_are_used_only_off_self_or_cls():

@@ -75,14 +75,27 @@ def test_degenerate_warning_counts_the_pass_once(monkeypatch):
     n = len(cloud)
     monkeypatch.setattr(pcqa.normals, "BLOCK_ROWS", 7)  # 14 blocks, each all degenerate
     rows = np.arange(0, n, 3)
-    for estimate, count in ((lambda: PreparedCloud(cloud).normals, n),
-                            (lambda: normal_vectors(cloud), n),
-                            (lambda: list(PreparedCloud(cloud).normals_at(rows)), len(rows))):
+    # matched rows first: they are not kept, while the whole cloud's normals are
+    for estimate, count in ((lambda: list(PreparedCloud(cloud).normals_at(rows)), len(rows)),
+                            (lambda: PreparedCloud(cloud).normals, n),
+                            (lambda: normal_vectors(cloud), n)):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             estimate()
         assert [str(w.message).split(" have ")[0] for w in caught] == [f"{count} of {count} points"]
         assert caught[0].category is RuntimeWarning
+
+
+def test_a_cloud_estimates_and_warns_once_for_its_normals(rng):
+    # the reference's normals are kept with it, so a second call on the same
+    # cloud estimates none and warns nothing; the degraded cloud is not degenerate
+    ref = PointCloud(np.repeat(np.arange(24.0).reshape(8, 3), 12, axis=0))
+    deg = PointCloud(rng.uniform(0.0, 24.0, (60, 3)))
+    for expected in (["96 of 96 points"], []):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            psnr(ref, deg, ErrorKind.PO2PL, PeakSpec.largest_diagonal())
+        assert [str(w.message).split(" have ")[0] for w in caught] == expected
 
 
 def test_the_k_rule_is_reported_before_the_index_checks():
@@ -101,6 +114,19 @@ def test_collinear_points_get_a_perpendicular_normal():
     normals, degenerate = normal_vectors(PointCloud(pts), k=4)
     assert not degenerate.any()  # rank-1, not rank-0: a normal direction exists
     assert np.abs(normals[:, 0]).max() < 1e-9  # perpendicular to the line
+
+
+def test_normal_vectors_returns_arrays_the_caller_may_write(rng):
+    # the arrays are the caller's own: flipping them in place works, and
+    # neither the next call nor a scored cloud of the same points sees it
+    cloud = PointCloud(rng.uniform(0.0, 1.0, (200, 3)))
+    expected = PreparedCloud(cloud).normals.copy()
+    normals, degenerate = normal_vectors(cloud)
+    normals *= -1.0
+    degenerate[:] = True
+    again, mask = normal_vectors(cloud)
+    assert np.array_equal(again, expected) and not mask.any()
+    assert np.array_equal(PreparedCloud(cloud).normals, expected)
 
 
 def test_estimate_normals_returns_new_cloud():

@@ -202,6 +202,30 @@ def test_binary_vertices_are_copied_once(tmp_path):
     assert peak < 2.5 * cloud.points.nbytes
 
 
+@pytest.mark.parametrize("fmt", [BINARY_LE, ASCII])
+def test_the_cloud_keeps_the_array_the_reader_filled(tmp_path, monkeypatch, fmt):
+    cloud = PointCloud(np.random.default_rng(0).uniform(0.0, 1023.0, (50_000, 3)))
+    path = tmp_path / "big.ply"
+    write_ply(cloud, path, format=fmt)
+    read_ply(path)  # imports and caches outside the traced call
+    marks = []
+
+    def construct(*args, **kwargs):  # the peak from here on is what building the cloud adds
+        tracemalloc.reset_peak()
+        marks.append(tracemalloc.get_traced_memory()[0])
+        return PointCloud(*args, **kwargs)
+
+    monkeypatch.setattr(ply, "PointCloud", construct)
+    tracemalloc.start()
+    try:
+        back = read_ply(path)
+        added = tracemalloc.get_traced_memory()[1] - marks[0]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back.points, cloud.points)
+    assert added < cloud.points.nbytes / 4  # a copy of the points would be four times this
+
+
 @pytest.mark.parametrize(
     "mutate,match,line",
     [

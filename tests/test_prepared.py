@@ -1,9 +1,13 @@
 """The prepared-cloud pipeline: one kd-tree per cloud, one streamed kNN pass
-per k, built lazily, and results that do not depend on how the work is
-shared."""
+per k, built lazily and kept for the cloud's lifetime, and results that do
+not depend on how the work is shared or on what ran before."""
 
+import gc
 import math
+import sys
+import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -14,6 +18,7 @@ from pcqa import (
     ErrorKind,
     NeighborIndex,
     PeakSpec,
+    PointCloud,
     ResolutionEstimator,
     ann,
     ann_k,
@@ -22,6 +27,7 @@ from pcqa import (
     gaussian_jitter,
     mnn,
     normal_vectors,
+    octree_quantize,
     psnr,
     ra_psnr,
     resolution,
@@ -30,7 +36,7 @@ from pcqa import (
 )
 from pcqa.evaluation import benchmark_scores, full_variant_matrix, read_manifest
 from pcqa.metrics import PreparedCloud, score_variants
-from shapes import random_cloud, voxelized_sphere
+from shapes import random_cloud, random_voxel_cloud, voxelized_sphere
 
 
 @pytest.fixture
@@ -49,6 +55,11 @@ def kdtree_calls(monkeypatch):
 
     monkeypatch.setattr(scipy.spatial, "cKDTree", CountingKDTree)
     return calls
+
+
+def fresh(cloud):
+    """A new cloud sharing ``cloud``'s arrays: it keeps nothing computed on ``cloud``."""
+    return cloud.with_bit_depth(cloud.bit_depth)
 
 
 @pytest.fixture
@@ -101,8 +112,104 @@ def test_resolution_queries_only_at_its_own_k(kdtree_calls, pair):
 
     kdtree_calls["builds"], kdtree_calls["query_k"] = 0, []
     resolution(ref, ResolutionEstimator.MNN)
-    assert kdtree_calls["builds"] == 1
+    assert kdtree_calls["builds"] == 0  # the cloud keeps its tree
     assert kdtree_calls["query_k"] == [2]  # one self-excluded k=1 query
+
+
+def test_d1_d2_d1_builds_two_trees_and_one_reference_pass(kdtree_calls, pair):
+    d1 = (ErrorKind.PO2PO, PeakSpec.precision())
+    psnr(*pair, *d1)
+    ra_psnr(*pair, ErrorKind.PO2PL)
+    psnr(*pair, *d1)
+    assert kdtree_calls["builds"] == 2
+    # two NN queries per call, the reference's k=10 pass and the degraded cloud's matched rows
+    assert sorted(kdtree_calls["query_k"]) == [1] * 6 + [11, 11]
+    kdtree_calls["query_k"] = []
+    ra_psnr(*pair, ErrorKind.PO2PL)  # the reference's normals and apd_k are kept
+    assert kdtree_calls["builds"] == 2
+    assert sorted(kdtree_calls["query_k"]) == [1, 1, 11]  # the matched rows are not kept
+
+
+def test_a_cloud_frees_what_it_keeps_when_it_goes():
+    ref = voxelized_sphere(n=1500, radius=30.0, bit_depth=7)
+    deg = gaussian_jitter(ref, 0.4, seed=3)
+    gc.disable()  # reference counting alone frees the kept state: there is no cycle
+    try:
+        ra_psnr(ref, deg, ErrorKind.PO2PL)
+        kept = [weakref.ref(x) for x in (ref, PreparedCloud(ref).index, PreparedCloud(ref).normals)]
+        assert all(r() is not None for r in kept)
+        del ref
+        assert [r() for r in kept] == [None, None, None]
+    finally:
+        gc.enable()
+    assert PreparedCloud(deg).index is not None  # the other cloud keeps its own
+
+
+def _history_calls() -> dict:
+    """Named calls on a (reference, degraded) pair, each returning plain values."""
+    calls = {
+        "d1": lambda r, d: psnr(r, d, ErrorKind.PO2PO, PeakSpec.precision()).to_dict(),
+        "d2-reversed": lambda r, d: psnr(d, r, ErrorKind.PO2PL, PeakSpec.rendering()).to_dict(),
+        "annk-4": lambda r, d: resolution(r, ResolutionEstimator.ANN_K, 4),
+        "apdk-normal-k-6": lambda r, d: resolution(r, ResolutionEstimator.APD_K, normal_k=6),
+        "matrix": lambda r, d: score_pair(r, d, full_variant_matrix()),
+    }
+    for estimator in (ResolutionEstimator.ANN, ResolutionEstimator.ANN_K, ResolutionEstimator.APD_K):
+        calls[f"d2-ra-{estimator.value}"] = (
+            lambda r, d, e=estimator: ra_psnr(r, d, ErrorKind.PO2PL, e).to_dict())
+    for estimator in ResolutionEstimator:
+        for which in (0, 1):
+            calls[f"{estimator.value}-{which}"] = (
+                lambda r, d, e=estimator, w=which: resolution((r, d)[w], e))
+    return calls
+
+
+@pytest.mark.parametrize("content", ["voxel", "float"])
+def test_results_do_not_depend_on_what_ran_before_on_the_same_clouds(content):
+    if content == "voxel":  # equidistant neighbors everywhere, in both clouds
+        ref = random_voxel_cloud(np.random.default_rng(5), n=900, bit_depth=5)
+        deg = octree_quantize(ref, 1)
+    else:
+        ref = PointCloud(np.random.default_rng(5).uniform(0.0, 127.0, (900, 3)), bit_depth=7)
+        deg = gaussian_jitter(ref, 0.5, seed=2)
+    calls = _history_calls()
+    want = {name: call(fresh(ref), fresh(deg)) for name, call in calls.items()}
+    for order in (list(calls), list(calls)[::-1]):
+        shared = fresh(ref), fresh(deg)
+        got = {name: calls[name](*shared) for name in order}
+        assert got == want
+
+
+def test_threads_sharing_clouds_get_the_serial_results():
+    # more threads than cores, switching often: each fills whatever the
+    # clouds have not kept yet, racing the others to store it
+    ref = voxelized_sphere(n=600, radius=20.0, bit_depth=6)
+    deg = gaussian_jitter(ref, 0.4, seed=4)
+    calls = _history_calls()
+    want = {name: call(fresh(ref), fresh(deg)) for name, call in calls.items()}
+    shared = fresh(ref), fresh(deg)
+    got, errors = [], []
+
+    def work(order):
+        try:
+            got.append({name: calls[name](*shared) for name in order})
+        except Exception as exc:  # re-raised below, in the test's own thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(list(calls)[i:] + list(calls)[:i],))
+               for i in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert got == [want] * len(threads)
 
 
 def test_normals_are_estimated_through_the_module_attribute(monkeypatch, kdtree_calls, pair):
@@ -142,14 +249,14 @@ def test_distance_estimators_cut_from_a_larger_graph_are_exact(kdtree_calls):
            prepared.resolution(ResolutionEstimator.ANN),
            prepared.resolution(ResolutionEstimator.ANN_K, 4)]
     assert kdtree_calls["query_k"] == [11]  # one k=10 pass serves all four
-    assert cut == [mnn(cloud), ann(cloud), ann_k(cloud, 4)]
+    assert cut == [mnn(fresh(cloud)), ann(fresh(cloud)), ann_k(fresh(cloud), 4)]
 
 
 def test_prepared_values_equal_the_standalone_functions(rng):
     cloud = random_cloud(rng, n=400)
     prepared = PreparedCloud(cloud, normal_k=8)
-    assert prepared.resolution(ResolutionEstimator.APD_K, 6) == apd_k(cloud, 6, normal_k=8)
-    assert apd_k(cloud, 6, normal_k=8) == math.sqrt(prepared.apd_mean_square(6))
+    assert prepared.resolution(ResolutionEstimator.APD_K, 6) == apd_k(fresh(cloud), 6, normal_k=8)
+    assert apd_k(fresh(cloud), 6, normal_k=8) == math.sqrt(prepared.apd_mean_square(6))
     assert np.array_equal(prepared.normals, estimate_normals(cloud, k=8).normals)
 
 
@@ -180,17 +287,18 @@ def test_block_size_does_not_change_any_bit(monkeypatch, block_rows):
     matched = [PreparedCloud(c).nearest(other.points)[1] for c, other in zip(clouds, clouds[::-1])]
     want = [normal_vectors(c, k=10) for c in clouds]
     want_values = [_values(c) for c in clouds]
-    want_at = [_normals_at(PreparedCloud(c), rows) for c, rows in zip(clouds, matched)]
+    want_at = [_normals_at(PreparedCloud(fresh(c)), rows) for c, rows in zip(clouds, matched)]
     want_po2pl = [psnr(a, b, ErrorKind.PO2PL, PeakSpec.rendering()).to_dict()
                   for a, b in zip(clouds, clouds[::-1])]  # both directions
 
     monkeypatch.setattr(pcqa.normals, "BLOCK_ROWS", block_rows)
+    clouds = [fresh(c) for c in clouds]  # nothing computed at the default block size is kept
     for c, (normals, degenerate), values, rows, at in zip(clouds, want, want_values, matched, want_at):
         got, got_degenerate = normal_vectors(c, k=10)
         assert np.array_equal(got, normals)
         assert np.array_equal(got_degenerate, degenerate)
         assert _values(c) == values  # MNN, ANN, ANN_k (3 and 10) and the APD_k mean square
-        assert np.array_equal(_normals_at(PreparedCloud(c), rows), at)
+        assert np.array_equal(_normals_at(PreparedCloud(fresh(c)), rows), at)  # a matched-row pass
     assert [psnr(a, b, ErrorKind.PO2PL, PeakSpec.rendering()).to_dict()
             for a, b in zip(clouds, clouds[::-1])] == want_po2pl
 
@@ -216,10 +324,10 @@ def test_po2pl_keeps_no_neighbor_array_beyond_a_block(monkeypatch):
     ref = voxelized_sphere(n=150_000, radius=60.0, bit_depth=8)
     deg = gaussian_jitter(ref, 0.4, seed=1)
     monkeypatch.setattr(pcqa.normals, "BLOCK_ROWS", 2048)
-    ra_psnr(ref, deg, ErrorKind.PO2PL)  # imports and caches outside the traced call
+    ra_psnr(fresh(ref), fresh(deg), ErrorKind.PO2PL)  # imports and caches outside the traced call
     tracemalloc.start()
     try:
-        ra_psnr(ref, deg, ErrorKind.PO2PL)
+        ra_psnr(ref, deg, ErrorKind.PO2PL)  # the whole call: these clouds have kept nothing yet
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -234,14 +342,13 @@ def test_po2pl_error_makes_no_per_point_vector_array(monkeypatch):
     ref = voxelized_sphere(n=150_000, radius=60.0, bit_depth=8)
     deg = gaussian_jitter(ref, 0.4, seed=1)
     monkeypatch.setattr(pcqa.normals, "BLOCK_ROWS", 2048)
-    prepared = [PreparedCloud(c) for c in (ref, deg)]
-    for p in prepared:
-        p.normals  # every normal known, so the traced stage estimates none
+    for c in (ref, deg):
+        PreparedCloud(c).normals  # every normal kept with its cloud, so the traced stage estimates none
     variant = [(ErrorKind.PO2PL, PeakSpec.largest_diagonal())]
-    want = score_variants(*prepared, variant)  # imports and caches outside the traced call
+    want = score_variants(ref, deg, variant)  # imports and caches outside the traced call
     tracemalloc.start()
     try:
-        got = score_variants(*prepared, variant)
+        got = score_variants(ref, deg, variant)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
