@@ -8,6 +8,16 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 UNIT_NORMAL_TOL = 1e-9
+# Bit depths b for which 2**b - 1, and every integer coordinate up to it, is
+# an exact float64: a precision peak, a grid and an inferred depth stay exact.
+BIT_DEPTHS = range(1, 54)
+
+
+def _check_bit_depth(bit_depth: int) -> int:
+    if bit_depth not in BIT_DEPTHS:
+        raise ValueError(f"bit depth must be an integer in [{BIT_DEPTHS[0]}, {BIT_DEPTHS[-1]}], "
+                         f"got {bit_depth}")
+    return bit_depth
 
 
 def _read_only(values) -> np.ndarray:
@@ -64,9 +74,7 @@ class PointCloud:
                 raise ValueError(f"normals must be unit length within {UNIT_NORMAL_TOL} (worst |err|={worst:g})")
             object.__setattr__(self, "normals", normals)
         if self.bit_depth is not None:
-            b = int(self.bit_depth)
-            if b < 1:
-                raise ValueError(f"bit depth must be a positive integer, got {self.bit_depth}")
+            b = _check_bit_depth(int(self.bit_depth))
             object.__setattr__(self, "bit_depth", b)
             if len(self) and (self.points.min() < 0.0 or self.points.max() > 2.0**b - 1.0):
                 raise ValueError(
@@ -92,8 +100,9 @@ class PointCloud:
 def infer_bit_depth(cloud: PointCloud) -> int:
     """Smallest positive ``b`` such that every coordinate fits in [0, 2**b - 1].
 
-    Raises ValueError on empty clouds or when any coordinate is negative
-    (such clouds have no voxel-grid interpretation).
+    Raises ValueError on empty clouds, when any coordinate is negative (such
+    clouds have no voxel-grid interpretation), or when ``b`` would lie past
+    ``BIT_DEPTHS``.
     """
     if len(cloud) == 0:
         raise ValueError("cannot infer bit depth of an empty cloud")
@@ -101,12 +110,10 @@ def infer_bit_depth(cloud: PointCloud) -> int:
     if lo < 0.0:
         raise ValueError("cannot infer bit depth: negative coordinate present")
     hi = float(cloud.points.max())
-    b = max(1, math.ceil(math.log2(hi + 1.0))) if hi > 0 else 1
-    # guard against log2 rounding at power-of-two boundaries
-    while 2.0**b - 1.0 < hi:
-        b += 1
-    while b > 1 and 2.0 ** (b - 1) - 1.0 >= hi:
-        b -= 1
+    b = max(1, math.ceil(hi).bit_length())  # exact: hi <= 2**b - 1 iff ceil(hi) < 2**b
+    if b not in BIT_DEPTHS:
+        raise ValueError(f"cannot infer bit depth: coordinate {hi!r} needs {b} bits, "
+                         f"more than {BIT_DEPTHS[-1]}")
     return b
 
 
@@ -133,6 +140,4 @@ def require_bit_depth(cloud: PointCloud, bit_depth: int | None, name: str) -> Po
 
 def precision_peak(bit_depth: int) -> float:
     """Largest representable coordinate for a given bit depth, 2**b - 1."""
-    if bit_depth < 1:
-        raise ValueError(f"bit depth must be >= 1, got {bit_depth}")
-    return 2.0**bit_depth - 1.0
+    return 2.0 ** _check_bit_depth(bit_depth) - 1.0

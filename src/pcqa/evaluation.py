@@ -290,8 +290,7 @@ def score_pair(
     them across variants, so results equal per-variant ``metrics.psnr``
     calls exactly at a fraction of the cost.
     """
-    results = score_variants(ref, deg, variants, pooling=pooling, normal_k=normal_k)
-    return [r.psnr_pooled for r in results]
+    return [r.psnr_pooled for r in score_variants(ref, deg, variants, pooling=pooling, normal_k=normal_k)]
 
 
 def _load_cloud(path: str, stimulus_id: str) -> PointCloud:
@@ -336,8 +335,7 @@ def benchmark_scores(
                 ref = require_bit_depth(ref, bit_depth, stim.reference)
             references[stim.reference] = ref
         deg = _load_cloud(stim.degraded, stim.stimulus_id)
-        scores[row] = [r.psnr_pooled
-                       for r in score_variants(ref, deg, metrics, pooling=pooling, normal_k=normal_k)]
+        scores[row] = score_pair(ref, deg, metrics, pooling=pooling, normal_k=normal_k)
     return scores
 
 

@@ -23,6 +23,7 @@ from .neighbors import NeighborIndex
 from .normals import DEFAULT_NORMAL_K
 
 DEFAULT_ESTIMATOR_K = 10
+BLOCK_ROWS = 16384  # rows per block in every per-point loop, which bounds their temporaries
 
 POOLING_MODES = ("max", "min")  # "max" follows the metric definition; "min" matches MPEG tooling
 
@@ -211,8 +212,8 @@ class _CloudState:
     cloud's read-only arrays (through the index) but never the cloud."""
 
     index: NeighborIndex | None = None
-    normals: dict = field(default_factory=dict)  # normal_k -> (estimated normals, degenerate mask)
-    values: dict = field(default_factory=dict)  # _value_key -> resolution value; APD_K its mean square
+    normals: dict = field(default_factory=dict)  # normal_k -> estimated normals
+    values: dict = field(default_factory=dict)  # _value_key -> resolution value
 
 
 # Keyed by the cloud itself (PointCloud hashes by identity), so each entry
@@ -228,8 +229,7 @@ class PreparedCloud:
     pass over the cloud per k that keeps per-row results only.  Normals and
     APD_k read neighbor indices, so they take the pass at exactly their own
     k.  MNN, ANN and ANN_k read only sorted distances, which do not depend
-    on how ties are broken, so they ride along on a pass at their own or a
-    larger k.
+    on how ties are broken, so they all ride along on the widest pass.
     """
 
     def __init__(self, cloud: PointCloud, normal_k: int = DEFAULT_NORMAL_K):
@@ -248,12 +248,7 @@ class PreparedCloud:
         """The cloud's own normals, those estimated at ``normal_k``, or None."""
         if self.cloud.has_normals:
             return self.cloud.normals
-        return self._state.normals.get(self.normal_k, (None, None))[0]
-
-    @property
-    def degenerate(self) -> np.ndarray | None:
-        """Mask of the (0, 0, 1) placeholder normals, once estimated at ``normal_k``."""
-        return self._state.normals.get(self.normal_k, (None, None))[1]
+        return self._state.normals.get(self.normal_k)
 
     @property
     def normals(self) -> np.ndarray:
@@ -273,7 +268,7 @@ class PreparedCloud:
 
     def normals_at(self, rows: np.ndarray):
         """An iterator of (block, the normals at ``rows[block]``) over blocks
-        of ``normals.BLOCK_ROWS`` entries of ``rows`` (repeats allowed).
+        of ``BLOCK_ROWS`` entries of ``rows`` (repeats allowed).
         Unless all of the cloud's normals are known, only its distinct
         ``rows`` are estimated, by one pass over them alone within this
         call, and nothing is kept."""
@@ -285,67 +280,61 @@ class PreparedCloud:
             normals = self._stream(self.normal_k, distinct, normals=True)[0]
 
         def blocks():
-            for start in range(0, len(rows), _normals.BLOCK_ROWS):
-                block = slice(start, start + _normals.BLOCK_ROWS)
+            for start in range(0, len(rows), BLOCK_ROWS):
+                block = slice(start, start + BLOCK_ROWS)
                 at = rows[block] if distinct is None else np.searchsorted(distinct, rows[block])
                 yield block, normals[at]
 
         return blocks()
 
-    def apd_mean_square(self, k: int) -> float:
-        """Mean over all pairs of max(d**2 - (o . n)**2, 0): d the distance to
-        one of a point's k nearest neighbors, o its offset, n the point's normal."""
-        self._fill([(ResolutionEstimator.APD_K, k)])
-        return self._state.values[self._value_key(ResolutionEstimator.APD_K, k)]
-
     def resolution(self, estimator: ResolutionEstimator, k: int | None = None) -> float:
         """One resolution estimate, memoized; ``k`` as ``ResolutionEstimator.read_k`` reads it."""
         k = estimator.read_k(k)
         self._fill([(estimator, k)])
-        value = self._state.values[self._value_key(estimator, k)]
-        return math.sqrt(value) if estimator is ResolutionEstimator.APD_K else value
+        return self._state.values[self._value_key(estimator, k)]
 
     def _fill(self, wanted=(), normals: bool = False) -> None:
         """Compute the ``wanted`` (estimator, k) values not yet known, and the
-        normals when ``normals`` is set or an APD_k needs them.  The normals'
-        pass at ``normal_k`` runs first, then one pass per other APD k; each
-        distance-only value rides along on the narrowest of these that is at
-        least as wide as it, or else on one pass at the widest of them."""
+        normals when ``normals`` is set or an APD_k needs them.  Normals and
+        each APD_k take the pass at their own k, the normals' first.  Every
+        distance-only value rides on the widest pass, which is added at the
+        widest distance-only width when no pass is that wide."""
         values = self._state.values
         todo = [key for key in dict.fromkeys(wanted) if self._value_key(*key) not in values]
         apd = {k for estimator, k in todo if estimator is ResolutionEstimator.APD_K}
         estimate = self._normals is None and (normals or bool(apd))
-        passes: dict[int, list] = {k: [] for k in apd}  # k -> distance-only keys it serves
-        if estimate:
-            passes.setdefault(self.normal_k, [])
         width_of = {key: key[1] or 1 for key in todo if key[0] is not ResolutionEstimator.APD_K}
-        widest = max(width_of.values(), default=0)
-        for key, width in width_of.items():
-            passes.setdefault(min((k for k in passes if k >= width), default=widest), []).append(key)
+        widths = set(width_of.values())
+        passes = apd | ({self.normal_k} if estimate else set())
+        widest = max(passes | widths, default=0)
+        if widths:
+            passes.add(widest)
 
         for k in sorted(passes, key=lambda k: (k != self.normal_k, -k)):
             with_normals = estimate and k == self.normal_k
-            normals_, degenerate, apd_sums, nearest, sums = self._stream(
-                k, normals=with_normals, apd=k in apd, widths={width_of[key] for key in passes[k]})
+            normals_, _, apd_sums, nearest, sums = self._stream(
+                k, normals=with_normals, apd=k in apd, widths=widths if k == widest else ())
             if with_normals:
                 normals_.setflags(write=False)  # shared by every later call on this cloud
-                degenerate.setflags(write=False)
-                self._state.normals[self.normal_k] = normals_, degenerate
+                self._state.normals[self.normal_k] = normals_
             if k in apd:
-                values[self._value_key(ResolutionEstimator.APD_K, k)] = float(np.mean(apd_sums)) / k
-            for key in passes[k]:
+                key = self._value_key(ResolutionEstimator.APD_K, k)
+                values[key] = math.sqrt(float(np.mean(apd_sums)) / k)
+            if k != widest:
+                continue
+            for key, width in width_of.items():
                 if key[0] is ResolutionEstimator.MNN:
                     value = nearest.max()
-                elif width_of[key] == 1:  # ANN, and ANN_K at k=1
+                elif width == 1:  # ANN, and ANN_K at k=1
                     value = np.sqrt(np.mean(nearest * nearest))
                 else:
-                    value = math.sqrt(float(np.mean(sums[width_of[key]])) / width_of[key])
+                    value = math.sqrt(float(np.mean(sums[width])) / width)
                 values[self._value_key(*key)] = float(value)
 
     def _stream(self, k: int, rows: np.ndarray | None = None, *, normals: bool = False,
                 apd: bool = False, widths=()) -> tuple:
         """One pass at ``k`` over ``rows`` (an index array, default every
-        point) in blocks of ``normals.BLOCK_ROWS``.  Each block gets one
+        point) in blocks of ``BLOCK_ROWS``.  Each block gets one
         self-excluded k-nearest-neighbor query, from which its normals and
         degenerate mask (if ``normals``), its APD_k row sums (if ``apd``),
         its nearest distances (if ``widths``) and, for each width w > 1 in
@@ -363,8 +352,8 @@ class PreparedCloud:
         apd_sums = np.empty(n) if apd else None
         nearest = np.empty(n) if widths else None
         sums = {w: np.empty(n) for w in widths if w > 1}
-        for start in range(0, n, _normals.BLOCK_ROWS):
-            block = slice(start, start + _normals.BLOCK_ROWS)
+        for start in range(0, n, BLOCK_ROWS):
+            block = slice(start, start + BLOCK_ROWS)
             centers = rows[block]
             idx, dists = index.self_excluded_neighbors(k, centers)
             if normals:
@@ -391,44 +380,41 @@ class PreparedCloud:
         return dists * dists, idx
 
     def peak_numerators(self, peaks, *, normals: bool = False) -> dict[PeakSpec, tuple[float, float]]:
-        """``_peak_numerator`` of each peak.  The resolution values they read,
-        and the normals when ``normals`` is set, are computed together first,
-        in as few passes as ``_fill`` allows."""
-        specs = list(dict.fromkeys(peaks))
-        self._fill([(peak.estimator, peak.k) for peak in specs if peak.estimator is not None], normals)
-        return {peak: self._peak_numerator(peak) for peak in specs}
-
-    def _peak_numerator(self, peak: PeakSpec) -> tuple[float, float]:
-        """Peak value and PSNR numerator with this cloud as the reference.
+        """Peak value and PSNR numerator of each peak, with this cloud as the
+        reference.  The resolution values they read, and the normals when
+        ``normals`` is set, are computed together first by one ``_fill``.
 
         Numerators by peak: 3*p_c**2 for precision, the squared diagonal for
         LD, r**2 for a plain resolution peak, and 3*r*p_c for the
-        density-adaptive form.  Raises ``ZeroPeakError`` when the peak
+        density-adaptive form.  Raises ``ZeroPeakError`` when a peak
         degenerates to zero and ``ValueError`` when a required bit depth is
         missing.
         """
-        bit_depth = self.cloud.bit_depth
-        if peak.needs_bit_depth and bit_depth is None:
-            raise ValueError(
-                f"{'precision peak' if peak.kind is PeakKind.PRECISION else 'RA-PSNR'} "
-                "requires a known bit depth on the reference cloud"
-            )
-
-        if peak.kind is PeakKind.PRECISION:
-            peak_value = precision_peak(bit_depth)
-            numerator = 3.0 * peak_value * peak_value
-        elif peak.kind is PeakKind.LARGEST_DIAGONAL:
-            peak_value = largest_diagonal(self.cloud)
-            numerator = peak_value * peak_value
-        else:
-            peak_value = self.resolution(peak.estimator, peak.k)
-            if peak.density_adaptive:
-                numerator = 3.0 * peak_value * precision_peak(bit_depth)
-            else:
+        specs = list(dict.fromkeys(peaks))
+        self._fill([(peak.estimator, peak.k) for peak in specs if peak.estimator is not None], normals)
+        bit_depth, out = self.cloud.bit_depth, {}
+        for peak in specs:
+            if peak.needs_bit_depth and bit_depth is None:
+                raise ValueError(
+                    f"{'precision peak' if peak.kind is PeakKind.PRECISION else 'RA-PSNR'} "
+                    "requires a known bit depth on the reference cloud"
+                )
+            if peak.kind is PeakKind.PRECISION:
+                peak_value = precision_peak(bit_depth)
+                numerator = 3.0 * peak_value * peak_value
+            elif peak.kind is PeakKind.LARGEST_DIAGONAL:
+                peak_value = largest_diagonal(self.cloud)
                 numerator = peak_value * peak_value
-        if peak_value <= 0.0:
-            raise ZeroPeakError(f"peak {peak.label} evaluated to {peak_value} on the reference cloud")
-        return peak_value, numerator
+            else:
+                peak_value = self.resolution(peak.estimator, peak.k)
+                if peak.density_adaptive:
+                    numerator = 3.0 * peak_value * precision_peak(bit_depth)
+                else:
+                    numerator = peak_value * peak_value
+            if peak_value <= 0.0:
+                raise ZeroPeakError(f"peak {peak.label} evaluated to {peak_value} on the reference cloud")
+            out[peak] = peak_value, numerator
+        return out
 
 
 def nn_squared_errors(a: PointCloud, b: PointCloud) -> tuple[np.ndarray, np.ndarray]:

@@ -7,7 +7,6 @@ import numpy as np
 from .cloud import PointCloud
 
 DEFAULT_NORMAL_K = 10
-BLOCK_ROWS = 16384  # rows per block in the per-point kernels, which bounds their temporaries
 _EIGH_GAP = 1e-6  # relative gap of the two smallest eigenvalues below which eigh takes over
 
 

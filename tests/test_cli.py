@@ -394,6 +394,46 @@ def test_a_warning_is_one_pcqa_line_on_stderr(tmp_path):
                    "their normals were set to (0, 0, 1)\n")
 
 
+D1_PRECISION = (["--error", "po2po", "--peak", "precision"], ["--metric", "po2po:precision"])
+# reference points, compare flags and benchmark flags (none: the default
+# metric, all), --bitdepth, and the exit code with its error category
+EXIT_CASES = {
+    "coincident-reference-zero-mnn": (np.ones((12, 3)), ["--error", "po2po", "--peak", "mnn"],
+                                      ["--metric", "po2po:mnn"], None, 5, "zero-peak"),
+    "outside-bitdepth": (integer_grid(4).points * 5, *D1_PRECISION, 3, 6, "invalid-data"),
+    "three-points-default-k": (np.eye(3) * 4, [], [], None, 6, "invalid-data"),
+    "bitdepth-1024": (integer_grid(4).points, *D1_PRECISION, 1024, 6, "invalid-data"),
+    "1e308-inferred-precision": ([[0.0, 0.0, 0.0], [1e308, 0.0, 0.0], [0.0, 2.0, 1.0]], *D1_PRECISION,
+                                 None, 2, "usage"),
+}
+
+
+@pytest.mark.parametrize("case", list(EXIT_CASES))
+def test_compare_and_benchmark_exit_with_the_same_code_and_one_line(tmp_path, case):
+    points, compare_flags, benchmark_flags, bit_depth, code, category = EXIT_CASES[case]
+    ref = tmp_path / "ref.ply"
+    write_ply(PointCloud(points), ref)
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("stimulus_id,group,reference,degraded,mos\n"
+                        + "".join(f"s{i},g,ref.ply,ref.ply,{i}\n" for i in range(1, 6)))
+    depth = [] if bit_depth is None else ["--bitdepth", bit_depth]
+    compare = run_main("compare", "--ref", ref, "--deg", ref, *compare_flags, *depth)
+    benchmark = run_main("benchmark", "--manifest", manifest, *benchmark_flags, *depth, "--out", tmp_path / "r")
+    for got, out, err in (compare, benchmark):
+        assert (got, out) == (code, "")
+        assert err.startswith(f"pcqa: error[{category}]: ") and err.count("\n") == 1, err
+
+
+def test_degrading_a_cloud_past_the_bit_depth_range_exits_6(tmp_path):
+    ref = tmp_path / "ref.ply"
+    write_ply(PointCloud([[0.0, 0.0, 0.0], [1e308, 1.0, 2.0]]), ref)
+    code, out, err = run_main("degrade", "--ref", ref, "--octree-quantize", 1, "--out", tmp_path / "o.ply")
+    assert (code, out) == (6, "")
+    assert err == ("pcqa: error[invalid-data]: cannot infer bit depth: coordinate 1e+308 "
+                   "needs 1024 bits, more than 53\n")
+    assert not (tmp_path / "o.ply").exists()
+
+
 @pytest.mark.parametrize("k", [None, -1, 0, 1, 5])
 @pytest.mark.parametrize("estimator", list(ResolutionEstimator), ids=lambda e: e.value)
 def test_estimator_k_rule_is_the_same_at_every_entry_point(voxel_pair, estimator, k):

@@ -154,6 +154,23 @@ def test_infer_bit_depth_exact_at_power_boundaries():
         assert infer_bit_depth(over_peak) == b + 1
 
 
+def test_bit_depths_stop_where_float64_stops_being_exact():
+    # 2**53 - 1 is the last odd integer a float64 holds, so 53 bits is the deepest grid
+    top = PointCloud([[0.0, 0.0, 2.0**53 - 1.0]])
+    assert infer_bit_depth(top) == 53
+    assert top.with_bit_depth(53).bit_depth == 53
+    assert precision_peak(53) == 2**53 - 1
+    with pytest.raises(ValueError, match="needs 54 bits"):
+        infer_bit_depth(PointCloud([[0.0, 0.0, 2.0**53]]))
+    with pytest.raises(ValueError, match="needs 1024 bits"):
+        infer_bit_depth(PointCloud([[0.0, 0.0, 1e308]]))
+    for b in (54, 511, 1024):
+        with pytest.raises(ValueError, match=r"bit depth must be an integer in \[1, 53\]"):
+            top.with_bit_depth(b)
+        with pytest.raises(ValueError, match=r"bit depth must be an integer in \[1, 53\]"):
+            precision_peak(b)
+
+
 def test_infer_bit_depth_rejects_negative_and_empty():
     with pytest.raises(ValueError):
         infer_bit_depth(PointCloud([[-0.5, 0.0, 0.0]]))

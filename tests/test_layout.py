@@ -121,8 +121,9 @@ def _name(node) -> str | None:
 
 
 def test_per_point_kernels_step_by_the_one_block_constant():
-    # ply keeps its own _ASCII_BLOCK_ROWS, which bounds token lists, not kernels
-    steps, owners = [], []
+    # ply keeps its own _ASCII_BLOCK_ROWS, which bounds token lists, not kernels;
+    # every blocked loop is in metrics, which owns the constant and reads it bare
+    steps, owners, read_off = [], [], []
     for path in MODULES:
         for node, scope in _scoped_nodes(path):
             if (path.name in ("metrics.py", "normals.py") and isinstance(node, ast.Call)
@@ -132,6 +133,9 @@ def test_per_point_kernels_step_by_the_one_block_constant():
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
                 owners += [(path.name, scope) for target in targets for name in ast.walk(target)
                            if _name(name) == "BLOCK_ROWS"]
+            if isinstance(node, ast.Attribute) and node.attr == "BLOCK_ROWS":
+                read_off.append(f"{path.name}:{node.lineno} reads {ast.unparse(node)}")
     assert steps
     assert [where for where, step in steps if step != "BLOCK_ROWS"] == []
-    assert owners == [("normals.py", "")]
+    assert owners == [("metrics.py", "")]
+    assert read_off == []  # no normals.BLOCK_ROWS, nor any other module's

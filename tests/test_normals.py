@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+import pcqa.metrics
 import pcqa.normals
 from pcqa import (
     ErrorKind,
@@ -73,7 +74,7 @@ def test_degenerate_warning_counts_the_pass_once(monkeypatch):
     # 8 sites, each repeated 12 times: every k=10 neighborhood is coincident
     cloud = PointCloud(np.repeat(np.arange(24.0).reshape(8, 3), 12, axis=0))
     n = len(cloud)
-    monkeypatch.setattr(pcqa.normals, "BLOCK_ROWS", 7)  # 14 blocks, each all degenerate
+    monkeypatch.setattr(pcqa.metrics, "BLOCK_ROWS", 7)  # 14 blocks, each all degenerate
     rows = np.arange(0, n, 3)
     # matched rows first: they are not kept, while the whole cloud's normals are
     for estimate, count in ((lambda: list(PreparedCloud(cloud).normals_at(rows)), len(rows)),

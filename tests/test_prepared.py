@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 import scipy.spatial
 
+import pcqa.metrics
 import pcqa.normals
 from pcqa import (
     ErrorKind,
@@ -226,7 +227,7 @@ def test_normals_are_estimated_through_the_module_attribute(monkeypatch, kdtree_
 
     # the public call is one PreparedCloud pass: one tree, the kernel once per block
     ref, _ = pair
-    monkeypatch.setattr(pcqa.normals, "BLOCK_ROWS", 512)
+    monkeypatch.setattr(pcqa.metrics, "BLOCK_ROWS", 512)
     calls.clear()
     kdtree_calls["builds"], kdtree_calls["query_k"] = 0, []
     normal_vectors(ref)
@@ -252,11 +253,22 @@ def test_distance_estimators_cut_from_a_larger_graph_are_exact(kdtree_calls):
     assert cut == [mnn(fresh(cloud)), ann(fresh(cloud)), ann_k(fresh(cloud), 4)]
 
 
+def test_a_mixed_request_runs_one_pass_per_normal_or_apd_k_plus_the_widest(kdtree_calls):
+    # normals at 6 and APD_k at 8 take their own passes; ANN_k 4 and MNN fit
+    # in either, but ANN_k 12 does not, so one pass at 12 serves all three
+    cloud = voxelized_sphere(n=1500, radius=30.0, bit_depth=7)
+    peaks = [PeakSpec.parse(label, k)
+             for label, k in (("annk", 4), ("mnn", None), ("apdk", 8), ("annk", 12))]
+    got = PreparedCloud(cloud, normal_k=6).peak_numerators(peaks)
+    assert sorted(kdtree_calls["query_k"]) == [7, 9, 13]
+    assert got == {peak: PreparedCloud(fresh(cloud), normal_k=6).peak_numerators([peak])[peak]
+                   for peak in peaks}
+
+
 def test_prepared_values_equal_the_standalone_functions(rng):
     cloud = random_cloud(rng, n=400)
     prepared = PreparedCloud(cloud, normal_k=8)
     assert prepared.resolution(ResolutionEstimator.APD_K, 6) == apd_k(fresh(cloud), 6, normal_k=8)
-    assert apd_k(fresh(cloud), 6, normal_k=8) == math.sqrt(prepared.apd_mean_square(6))
     assert np.array_equal(prepared.normals, estimate_normals(cloud, k=8).normals)
 
 
@@ -264,7 +276,7 @@ def _values(cloud):
     prepared = PreparedCloud(cloud)
     return [prepared.resolution(ResolutionEstimator.MNN), prepared.resolution(ResolutionEstimator.ANN),
             prepared.resolution(ResolutionEstimator.ANN_K, 3), prepared.resolution(ResolutionEstimator.ANN_K),
-            prepared.apd_mean_square(10)]
+            prepared.resolution(ResolutionEstimator.APD_K, 10)]
 
 
 def _normals_at(prepared, rows):
@@ -291,13 +303,13 @@ def test_block_size_does_not_change_any_bit(monkeypatch, block_rows):
     want_po2pl = [psnr(a, b, ErrorKind.PO2PL, PeakSpec.rendering()).to_dict()
                   for a, b in zip(clouds, clouds[::-1])]  # both directions
 
-    monkeypatch.setattr(pcqa.normals, "BLOCK_ROWS", block_rows)
+    monkeypatch.setattr(pcqa.metrics, "BLOCK_ROWS", block_rows)
     clouds = [fresh(c) for c in clouds]  # nothing computed at the default block size is kept
     for c, (normals, degenerate), values, rows, at in zip(clouds, want, want_values, matched, want_at):
         got, got_degenerate = normal_vectors(c, k=10)
         assert np.array_equal(got, normals)
         assert np.array_equal(got_degenerate, degenerate)
-        assert _values(c) == values  # MNN, ANN, ANN_k (3 and 10) and the APD_k mean square
+        assert _values(c) == values  # MNN, ANN, ANN_k (3 and 10) and APD_k
         assert np.array_equal(_normals_at(PreparedCloud(fresh(c)), rows), at)  # a matched-row pass
     assert [psnr(a, b, ErrorKind.PO2PL, PeakSpec.rendering()).to_dict()
             for a, b in zip(clouds, clouds[::-1])] == want_po2pl
@@ -323,7 +335,7 @@ def test_po2pl_keeps_no_neighbor_array_beyond_a_block(monkeypatch):
     # 2048-row blocks: a whole (N, k+1) query would dwarf every per-row array
     ref = voxelized_sphere(n=150_000, radius=60.0, bit_depth=8)
     deg = gaussian_jitter(ref, 0.4, seed=1)
-    monkeypatch.setattr(pcqa.normals, "BLOCK_ROWS", 2048)
+    monkeypatch.setattr(pcqa.metrics, "BLOCK_ROWS", 2048)
     ra_psnr(fresh(ref), fresh(deg), ErrorKind.PO2PL)  # imports and caches outside the traced call
     tracemalloc.start()
     try:
@@ -341,7 +353,7 @@ def test_po2pl_error_makes_no_per_point_vector_array(monkeypatch):
     # the po2pl error of both directions: per-row outputs and one block
     ref = voxelized_sphere(n=150_000, radius=60.0, bit_depth=8)
     deg = gaussian_jitter(ref, 0.4, seed=1)
-    monkeypatch.setattr(pcqa.normals, "BLOCK_ROWS", 2048)
+    monkeypatch.setattr(pcqa.metrics, "BLOCK_ROWS", 2048)
     for c in (ref, deg):
         PreparedCloud(c).normals  # every normal kept with its cloud, so the traced stage estimates none
     variant = [(ErrorKind.PO2PL, PeakSpec.largest_diagonal())]
