@@ -99,8 +99,7 @@ def cmd_compare(args) -> int:
 
     ref = read_ply(args.ref)
     deg = read_ply(args.deg)
-    if peak.needs_bit_depth or args.bitdepth is not None:
-        ref = require_bit_depth(ref, args.bitdepth, args.ref)
+    ref = require_bit_depth(ref, args.bitdepth, args.ref, peak.needs_bit_depth)
 
     result = psnr(ref, deg, kind, peak, pooling=pooling, normal_k=args.normal_k)
 
@@ -142,17 +141,16 @@ def cmd_resolution(args) -> int:
 
 
 def cmd_degrade(args) -> int:
-    cloud = read_ply(args.ref)
-    if args.gaussian is not None:
-        if args.gaussian <= 0.0:
-            raise UsageError(f"--gaussian sigma must be positive, got {args.gaussian}")
-        degraded = gaussian_jitter(cloud, args.gaussian, seed=args.seed)
-    else:
-        if args.octree_quantize < 1:
-            raise UsageError(f"--octree-quantize needs at least 1 bit, got {args.octree_quantize}")
-        if args.bitdepth is not None:
-            cloud = require_bit_depth(cloud, args.bitdepth, args.ref)
+    quantize = args.octree_quantize is not None
+    if not quantize and args.gaussian <= 0.0:
+        raise UsageError(f"--gaussian sigma must be positive, got {args.gaussian}")
+    if quantize and args.octree_quantize < 1:
+        raise UsageError(f"--octree-quantize needs at least 1 bit, got {args.octree_quantize}")
+    cloud = require_bit_depth(read_ply(args.ref), args.bitdepth, args.ref, quantize)
+    if quantize:
         degraded = octree_quantize(cloud, args.octree_quantize)
+    else:
+        degraded = gaussian_jitter(cloud, args.gaussian, seed=args.seed)
     write_ply(degraded, args.out, format=BINARY_LE)
     return EXIT_OK
 
@@ -166,7 +164,7 @@ def _parse_variants(tokens: list[str] | None, k: int):
         if not token:
             raise UsageError("empty metric specification")
         try:
-            variants += full_variant_matrix(k) if token.lower() == "all" else [variant_from_string(token)]
+            variants += full_variant_matrix(k) if token.lower() == "all" else [variant_from_string(token, k)]
         except ValueError as exc:
             raise UsageError(str(exc)) from None
     if not variants:
@@ -237,9 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--k", type=int, default=DEFAULT_ESTIMATOR_K,
-                       help="neighborhood size for annk/apdk (default %(default)s)")
+    def add_common(p, k_help="neighborhood size for annk/apdk"):
+        p.add_argument("--k", type=int, default=DEFAULT_ESTIMATOR_K, help=f"{k_help} (default %(default)s)")
         p.add_argument("--normal-k", type=int, default=DEFAULT_NORMAL_K,
                        help="neighbors for normal estimation (default %(default)s)")
 
@@ -283,9 +280,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metric", action="append", metavar="SPEC",
                    help="error:peak[:k][:ra] (e.g. po2pl:apdk:10:ra) or 'all'; repeatable "
                    "(default: all)")
-    add_common(p)
+    add_common(p, "k of 'all' and of each annk/apdk spec that names no k")
     p.add_argument("--bitdepth", type=int,
-                   help="bit depth of every reference (default: inferred per reference)")
+                   help="bit depth of every reference (default: inferred where a variant needs it)")
     p.add_argument("--pooling", choices=sorted(POOLING_FLAGS), default="paper-max")
     p.add_argument("--quartic", action="store_true",
                    help="fit the alternate x**4 regression instead of the cubic")

@@ -121,21 +121,23 @@ class UnknownBitDepth(ValueError):
     """A bit depth is needed, none was given, and none can be inferred."""
 
 
-def require_bit_depth(cloud: PointCloud, bit_depth: int | None, name: str) -> PointCloud:
-    """``cloud`` with ``bit_depth`` (the ``--bitdepth`` flag), or with the
-    depth inferred from it.  When neither is possible, UnknownBitDepth names
-    the cloud by ``name``; a given depth the coordinates do not fit is a
-    ValueError naming the cloud and the flag."""
-    if bit_depth is None:
+def require_bit_depth(cloud: PointCloud, bit_depth: int | None, name: str, needed: bool = True) -> PointCloud:
+    """The one ``--bitdepth`` rule: ``cloud`` with ``bit_depth`` whenever
+    one is given, else with its inferred depth when one is ``needed``, else
+    as it is.  A given depth the coordinates do not fit is a ValueError
+    naming the cloud and the flag; a needed depth that cannot be inferred is
+    UnknownBitDepth naming the cloud by ``name``."""
+    if bit_depth is not None:
         try:
-            bit_depth = infer_bit_depth(cloud)
+            return cloud.with_bit_depth(bit_depth)
         except ValueError as exc:
-            raise UnknownBitDepth(f"{name}: {exc}") from None
-        return cloud.with_bit_depth(bit_depth)
+            raise ValueError(f"{name}: --bitdepth {bit_depth}: {exc}") from None
+    if not needed:
+        return cloud
     try:
-        return cloud.with_bit_depth(bit_depth)
+        return cloud.with_bit_depth(infer_bit_depth(cloud))
     except ValueError as exc:
-        raise ValueError(f"{name}: --bitdepth {bit_depth}: {exc}") from None
+        raise UnknownBitDepth(f"{name}: {exc}") from None
 
 
 def precision_peak(bit_depth: int) -> float:

@@ -315,9 +315,9 @@ def benchmark_scores(
 
     References recurring across stimuli are loaded once, so each keeps one
     kd-tree, one streamed kNN pass per k, one set of normals and one value
-    per resolution estimate for the whole run.  A variant that needs the
-    coordinate precision takes it from ``bit_depth`` or infers it from each
-    reference (``cloud.require_bit_depth``).
+    per resolution estimate for the whole run.  Each reference takes
+    ``bit_depth`` when one is given, and otherwise its inferred depth when a
+    variant reads the coordinate precision (``cloud.require_bit_depth``).
     """
     if not manifest:
         raise ValueError("manifest is empty")
@@ -330,10 +330,8 @@ def benchmark_scores(
     for row, stim in enumerate(manifest):
         ref = references.get(stim.reference)
         if ref is None:
-            ref = _load_cloud(stim.reference, stim.stimulus_id)
-            if needs_bits:
-                ref = require_bit_depth(ref, bit_depth, stim.reference)
-            references[stim.reference] = ref
+            ref = references[stim.reference] = require_bit_depth(
+                _load_cloud(stim.reference, stim.stimulus_id), bit_depth, stim.reference, needs_bits)
         deg = _load_cloud(stim.degraded, stim.stimulus_id)
         scores[row] = score_pair(ref, deg, metrics, pooling=pooling, normal_k=normal_k)
     return scores
@@ -406,12 +404,13 @@ def run_benchmark(
     return reports
 
 
-def variant_from_string(text: str) -> MetricVariant:
+def variant_from_string(text: str, k: int | None = None) -> MetricVariant:
     """Parse a metric variant like ``po2pl:apdk:10:ra`` or ``po2po:ld``.
 
     Fields are colon-separated: error kind, peak name, then optionally a
     neighborhood size for annk/apdk and the ``ra`` marker for the
-    density-adaptive form.
+    density-adaptive form.  An annk/apdk spec without a size of its own
+    reads ``k`` (the ``--k`` flag) as ``ResolutionEstimator.read_k`` does.
     """
     parts = text.strip().lower().split(":")
     if len(parts) < 2:
@@ -425,7 +424,6 @@ def variant_from_string(text: str) -> MetricVariant:
     if rest and rest[-1] == "ra":
         ra = True
         rest = rest[:-1]
-    k = None
     if rest:
         if len(rest) > 1:
             raise ValueError(f"metric {text!r}: too many fields")

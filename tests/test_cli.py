@@ -295,9 +295,11 @@ def test_unknown_bit_depth_is_a_usage_error_naming_the_reference(tmp_path):
     compare = run_cli("compare", "--ref", neg, "--deg", neg, "--error", "po2po", "--peak", "precision")
     benchmark = run_cli("benchmark", "--manifest", manifest, "--metric", "po2po:precision",
                         "--out", tmp_path / "r")
-    for proc in (compare, benchmark):
+    degrade = run_cli("degrade", "--ref", neg, "--octree-quantize", 1, "--out", tmp_path / "o.ply")
+    for proc in (compare, benchmark, degrade):
         assert proc.returncode == 2
         assert proc.stderr == expected
+    assert not (tmp_path / "o.ply").exists()
 
 
 def test_benchmark_manifest_schema_error(tmp_path):
@@ -351,9 +353,16 @@ def test_a_bit_depth_below_the_coordinates_names_the_file_and_flag(tmp_path, pai
                       "--out", tmp_path / "o.ply")
     benchmark = run_cli("benchmark", "--manifest", manifest, "--metric", "po2po:precision",
                         "--bitdepth", 3, "--out", tmp_path / "r")
-    for proc, path in ((compare, ref), (degrade, ref), (benchmark, tmp_path / "ref.ply")):
+    # a depth is applied and checked when given, also where no peak reads it
+    jitter = run_cli("degrade", "--ref", ref, "--gaussian", 1, "--bitdepth", 3,
+                     "--out", tmp_path / "g.ply")
+    diagonal = run_cli("benchmark", "--manifest", manifest, "--metric", "po2po:ld",
+                       "--bitdepth", 3, "--out", tmp_path / "r")
+    for proc, path in ((compare, ref), (degrade, ref), (benchmark, tmp_path / "ref.ply"),
+                       (jitter, ref), (diagonal, tmp_path / "ref.ply")):
         assert proc.returncode == 6
         assert proc.stderr == f"pcqa: error[invalid-data]: {path}: {outside}\n"
+    assert not (tmp_path / "g.ply").exists()
 
 
 def test_invalid_data_in_a_ply_names_the_file(tmp_path, manifest):
@@ -370,11 +379,17 @@ def test_invalid_data_in_a_ply_names_the_file(tmp_path, manifest):
 
 @pytest.fixture(scope="module")
 def voxel_pair(tmp_path_factory):
+    """A 6-bit reference, a shifted copy, and a manifest of five shifted copies."""
     root = tmp_path_factory.mktemp("voxel_pair")
     ref = random_voxel_cloud(np.random.default_rng(3), n=40, bit_depth=6)
     write_ply(ref, root / "ref.ply")
     write_ply(PointCloud(ref.points + 0.25), root / "deg.ply")
-    return root / "ref.ply", root / "deg.ply"
+    rows = ["stimulus_id,group,reference,degraded,mos"]
+    for i in range(1, 6):
+        write_ply(PointCloud(ref.points + 0.1 * i), root / f"d{i}.ply")
+        rows.append(f"s{i},g,ref.ply,d{i}.ply,{5 - 0.5 * i}")
+    (root / "manifest.csv").write_text("\n".join(rows) + "\n")
+    return root / "ref.ply", root / "deg.ply", root / "manifest.csv"
 
 
 def run_main(*args) -> tuple[int, str, str]:
@@ -424,21 +439,29 @@ def test_compare_and_benchmark_exit_with_the_same_code_and_one_line(tmp_path, ca
         assert err.startswith(f"pcqa: error[{category}]: ") and err.count("\n") == 1, err
 
 
-def test_degrading_a_cloud_past_the_bit_depth_range_exits_6(tmp_path):
+def test_degrading_a_cloud_past_the_bit_depth_range_is_a_usage_error(tmp_path):
     ref = tmp_path / "ref.ply"
     write_ply(PointCloud([[0.0, 0.0, 0.0], [1e308, 1.0, 2.0]]), ref)
     code, out, err = run_main("degrade", "--ref", ref, "--octree-quantize", 1, "--out", tmp_path / "o.ply")
-    assert (code, out) == (6, "")
-    assert err == ("pcqa: error[invalid-data]: cannot infer bit depth: coordinate 1e+308 "
-                   "needs 1024 bits, more than 53\n")
+    assert (code, out) == (2, "")
+    assert err == (f"pcqa: error[usage]: --bitdepth required: {ref}: cannot infer bit depth: "
+                   "coordinate 1e+308 needs 1024 bits, more than 53\n")
     assert not (tmp_path / "o.ply").exists()
+
+
+def test_degrade_checks_its_flags_before_reading_the_file(tmp_path):
+    missing = tmp_path / "missing.ply"
+    for flags in (("--gaussian", 0), ("--octree-quantize", 0)):
+        code, out, err = run_main("degrade", "--ref", missing, *flags, "--out", tmp_path / "o.ply")
+        assert (code, out) == (2, "")
+        assert err.startswith("pcqa: error[usage]: ") and err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize("k", [None, -1, 0, 1, 5])
 @pytest.mark.parametrize("estimator", list(ResolutionEstimator), ids=lambda e: e.value)
 def test_estimator_k_rule_is_the_same_at_every_entry_point(voxel_pair, estimator, k):
     """annk and apdk read k (10 when not given) and reject k < 1; mnn and ann ignore it."""
-    ref, deg = voxel_pair
+    ref, deg, manifest = voxel_pair
     cloud = read_ply(ref)
     reads_k = estimator in (ResolutionEstimator.ANN_K, ResolutionEstimator.APD_K)
     rejected = (f"estimator {estimator.value} needs k >= 1, got {k}"
@@ -461,11 +484,20 @@ def test_estimator_k_rule_is_the_same_at_every_entry_point(voxel_pair, estimator
     shown = run_main("resolution", "--ref", ref, "--peak", estimator.value, *k_flag)
     scored = run_main("compare", "--ref", ref, "--deg", deg, "--error", "po2po",
                       "--peak", estimator.value, *k_flag)
+    out = manifest.parent / f"r-{estimator.value}-{k}"
+    metric = f"po2po:{estimator.value}"
+    benchmark = run_main("benchmark", "--manifest", manifest, "--metric", metric, *k_flag, "--out", out)
     for code, _, stderr in (shown, scored):
         assert (code, stderr) == ((2, f"pcqa: error[usage]: {rejected}\n") if rejected else (0, ""))
+    # a spec without a k of its own reads --k; the error names the spec
+    assert (benchmark[0], benchmark[2]) == (
+        (2, f"pcqa: error[usage]: metric {metric!r}: {rejected}\n") if rejected else (0, ""))
     if not rejected:
-        label = f"{estimator.value}(k={10 if k is None else k})" if reads_k else estimator.value
+        read = (10 if k is None else k) if reads_k else None
+        label = estimator.value if read is None else f"{estimator.value}(k={read})"
         assert shown[1].startswith(f"{label} = {resolution(cloud, estimator, k):.9f}")
+        reports = json.loads((out / "report.json").read_text())["reports"]
+        assert [r["k"] for r in reports] == [read, read]  # group g, then All
 
 
 def test_benchmark_rejects_a_bad_k_as_a_usage_error(tmp_path):

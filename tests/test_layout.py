@@ -1,6 +1,7 @@
 """Package layout: modules share only public names, objects share only
 public attributes, kd-trees and per-cloud state are built in one place
-only, the resolution estimators are spelled in ``metrics`` only, and
+only, the resolution estimators are spelled in ``metrics`` only, each
+command applies the ``--bitdepth`` rule in one call that no flag guards, and
 ``pcqa.__all__`` lists each exported name once, every one of them defined."""
 
 import ast
@@ -81,6 +82,31 @@ def test_per_cloud_state_is_created_in_one_place_only():
     readers = [(path.name, scope) for path in MODULES for node, scope in _scoped_nodes(path)
                if isinstance(node, ast.Name) and node.id == "_STATES"]
     assert sorted(set(readers)) == [("metrics.py", ""), STATE_OWNER]  # its definition, its one user
+
+
+# the one --bitdepth rule: each command decides its depth in one call
+BIT_DEPTH_DECIDERS = {("cli.py", "cmd_compare"), ("cli.py", "cmd_degrade"),
+                      ("evaluation.py", "benchmark_scores")}
+
+
+def test_the_bit_depth_rule_is_called_once_per_command_and_never_forked():
+    assert sorted(_calls("require_bit_depth")) == sorted(BIT_DEPTH_DECIDERS)
+    # no `if` decides whether the rule runs: the one allowed around it is a
+    # cache's first-use branch, which tests only the name the call's result is
+    # bound to (benchmark_scores' ``if ref is None``)
+    forks = []
+    for path in MODULES:
+        for node, scope in _scoped_nodes(path):
+            if not isinstance(node, (ast.If, ast.IfExp)):
+                continue
+            calls = [n for n in ast.walk(node)
+                     if isinstance(n, ast.Call) and _name(n.func) == "require_bit_depth"]
+            bound = {target.id for n in ast.walk(node) if isinstance(n, ast.Assign) and n.value in calls
+                     for target in n.targets if isinstance(target, ast.Name)}
+            tested = {n.id for n in ast.walk(node.test) if isinstance(n, ast.Name)}
+            if calls and not (isinstance(node, ast.If) and tested <= bound):
+                forks.append(f"{path.name}:{node.lineno} in {scope}: {ast.unparse(node.test)}")
+    assert forks == []
 
 
 def test_private_attributes_are_used_only_off_self_or_cls():
