@@ -28,28 +28,7 @@ import os
 import sys
 import warnings
 
-from .cloud import UnknownBitDepth, require_bit_depth
-from .degrade import gaussian_jitter, octree_quantize
-from .evaluation import (
-    full_variant_matrix,
-    read_manifest,
-    run_benchmark,
-    variant_from_string,
-    write_report_csv,
-    write_report_json,
-)
-from .metrics import (
-    DEFAULT_ESTIMATOR_K,
-    ErrorKind,
-    PeakKind,
-    PeakSpec,
-    ResolutionEstimator,
-    ZeroPeakError,
-    psnr,
-    resolution,
-)
-from .normals import DEFAULT_NORMAL_K
-from .ply import BINARY_LE, PlyParseError, read_ply, write_ply
+from .spec import DEFAULT_ESTIMATOR_K, DEFAULT_NORMAL_K, ErrorKind, PeakKind, PeakSpec, ResolutionEstimator
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -93,6 +72,10 @@ def _db_str(value: float) -> str:
 
 
 def cmd_compare(args) -> int:
+    from .cloud import require_bit_depth
+    from .metrics import psnr
+    from .ply import read_ply
+
     kind = ErrorKind(args.error)
     peak = _peak_from_flags(args.peak, args.ra, args.k)
     pooling = POOLING_FLAGS[args.pooling]
@@ -128,6 +111,9 @@ def cmd_compare(args) -> int:
 
 
 def cmd_resolution(args) -> int:
+    from .metrics import resolution
+    from .ply import read_ply
+
     peak = _peak_from_flags(args.peak, False, args.k)
     cloud = read_ply(args.ref)
     value = resolution(cloud, peak.estimator, peak.k, normal_k=args.normal_k)
@@ -141,21 +127,30 @@ def cmd_resolution(args) -> int:
 
 
 def cmd_degrade(args) -> int:
+    from .cloud import require_bit_depth
+    from .degrade import gaussian_jitter, octree_quantize
+    from .ply import BINARY_LE, read_ply, write_ply
+
     quantize = args.octree_quantize is not None
-    if not quantize and args.gaussian <= 0.0:
-        raise UsageError(f"--gaussian sigma must be positive, got {args.gaussian}")
+    if not quantize and not 0.0 < args.gaussian < math.inf:  # nan too
+        raise UsageError(f"--gaussian sigma must be positive and finite, got {args.gaussian}")
     if quantize and args.octree_quantize < 1:
         raise UsageError(f"--octree-quantize needs at least 1 bit, got {args.octree_quantize}")
     cloud = require_bit_depth(read_ply(args.ref), args.bitdepth, args.ref, quantize)
-    if quantize:
-        degraded = octree_quantize(cloud, args.octree_quantize)
-    else:
-        degraded = gaussian_jitter(cloud, args.gaussian, seed=args.seed)
+    try:
+        if quantize:
+            degraded = octree_quantize(cloud, args.octree_quantize)
+        else:
+            degraded = gaussian_jitter(cloud, args.gaussian, seed=args.seed)
+    except ValueError as exc:  # the source's data is at fault, so name it as read_ply does
+        raise ValueError(f"{args.ref}: {exc}") from None
     write_ply(degraded, args.out, format=BINARY_LE)
     return EXIT_OK
 
 
 def _parse_variants(tokens: list[str] | None, k: int):
+    from .evaluation import full_variant_matrix, variant_from_string
+
     if tokens is None:
         tokens = ["all"]
     variants = []
@@ -173,6 +168,9 @@ def _parse_variants(tokens: list[str] | None, k: int):
 
 
 def cmd_benchmark(args) -> int:
+    from .evaluation import read_manifest, run_benchmark, write_report_csv, write_report_json
+    from .ply import PlyParseError
+
     variants = _parse_variants(args.metric, args.k)
     pooling = POOLING_FLAGS[args.pooling]
     try:
@@ -305,6 +303,10 @@ def _warn(message, category, filename, lineno, file=None, line=None) -> None:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    from .cloud import UnknownBitDepth  # the kernels load only once a command runs
+    from .metrics import ZeroPeakError
+    from .ply import PlyParseError
+
     with warnings.catch_warnings():
         warnings.showwarning = _warn  # one line each, without the source path and line
         try:

@@ -18,15 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cloud import PointCloud, require_bit_depth
-from .metrics import (
-    DEFAULT_ESTIMATOR_K,
-    ErrorKind,
-    PeakSpec,
-    ResolutionEstimator,
-    score_variants,
-)
-from .normals import DEFAULT_NORMAL_K
+from .metrics import score_variants
 from .ply import read_ply
+from .spec import DEFAULT_ESTIMATOR_K, DEFAULT_NORMAL_K, ErrorKind, PeakSpec, ResolutionEstimator
 
 POOLED_GROUP = "All"
 MIN_GROUP_SIZE = 5  # a 4-parameter fit needs at least 5 samples
@@ -410,7 +404,8 @@ def variant_from_string(text: str, k: int | None = None) -> MetricVariant:
     Fields are colon-separated: error kind, peak name, then optionally a
     neighborhood size for annk/apdk and the ``ra`` marker for the
     density-adaptive form.  An annk/apdk spec without a size of its own
-    reads ``k`` (the ``--k`` flag) as ``ResolutionEstimator.read_k`` does.
+    reads ``k`` (the ``--k`` flag) as ``ResolutionEstimator.read_k`` does;
+    a size on any other peak is an error, since that peak reads none.
     """
     parts = text.strip().lower().split(":")
     if len(parts) < 2:
@@ -436,6 +431,8 @@ def variant_from_string(text: str, k: int | None = None) -> MetricVariant:
         peak = PeakSpec.parse(label, k)
     except ValueError as exc:
         raise ValueError(f"metric {text!r}: {exc}") from None
+    if rest and peak.k is None:
+        raise ValueError(f"metric {text!r}: peak {parts[1]!r} reads no k, got {rest[0]!r}")
     return kind, peak
 
 

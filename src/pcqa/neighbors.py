@@ -1,7 +1,7 @@
 """Exact k-nearest-neighbor search over an immutable point cloud.
 
 Backed by ``scipy.spatial.cKDTree``, which is imported when the first index
-is built, so importing pcqa loads numpy only.  All queries are exact, so
+is built, so importing this module loads numpy only.  All queries are exact, so
 results match an exhaustive scan up to the ordering of equidistant
 neighbors.  Every lookup is one batch query on the cloud's one tree, and it
 keeps ``cKDTree``'s pick among equidistant points; a documented tie rule is

@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 
 from .cloud import PointCloud
+from .spec import DEFAULT_NORMAL_K
 
-DEFAULT_NORMAL_K = 10
 _EIGH_GAP = 1e-6  # relative gap of the two smallest eigenvalues below which eigh takes over
 
 

@@ -449,9 +449,22 @@ def test_degrading_a_cloud_past_the_bit_depth_range_is_a_usage_error(tmp_path):
     assert not (tmp_path / "o.ply").exists()
 
 
+def test_degrade_errors_about_the_data_name_the_source(tmp_path):
+    empty, seven_bit = tmp_path / "empty.ply", tmp_path / "seven.ply"
+    empty.write_bytes(ascii_ply([]))
+    write_ply(PointCloud([[0.0, 0.0, 0.0], [127.0, 1.0, 2.0]]), seven_bit)
+    for ref, flags, message in (
+        (empty, ("--gaussian", 1), "cannot degrade an empty cloud"),
+        (seven_bit, ("--octree-quantize", 9), "bits_dropped must be in [1, 6] for a 7-bit cloud, got 9"),
+    ):
+        code, out, err = run_main("degrade", "--ref", ref, *flags, "--out", tmp_path / "o.ply")
+        assert (code, out, err) == (6, "", f"pcqa: error[invalid-data]: {ref}: {message}\n")
+    assert not (tmp_path / "o.ply").exists()
+
+
 def test_degrade_checks_its_flags_before_reading_the_file(tmp_path):
     missing = tmp_path / "missing.ply"
-    for flags in (("--gaussian", 0), ("--octree-quantize", 0)):
+    for flags in (("--gaussian", 0), ("--gaussian", "nan"), ("--gaussian", "inf"), ("--octree-quantize", 0)):
         code, out, err = run_main("degrade", "--ref", missing, *flags, "--out", tmp_path / "o.ply")
         assert (code, out) == (2, "")
         assert err.startswith("pcqa: error[usage]: ") and err.count("\n") == 1, err
@@ -501,10 +514,16 @@ def test_estimator_k_rule_is_the_same_at_every_entry_point(voxel_pair, estimator
 
 
 def test_benchmark_rejects_a_bad_k_as_a_usage_error(tmp_path):
-    # flags are checked before the manifest is read
+    # flags are checked before the manifest is read; a peak that reads no k
+    # takes none in its spec, whatever --k says
+    no_k = [(("--metric", f"{kind}:{peak}:{k}{ra}"),
+             f"metric '{kind}:{peak}:{k}{ra}': peak {peak!r} reads no k, got '{k}'")
+            for kind, peak, k, ra in (("po2po", "precision", 5, ""), ("po2pl", "ld", 3, ""),
+                                      ("po2po", "mnn", 3, ""), ("po2pl", "ann", 4, ""),
+                                      ("po2po", "ann", 4, ":ra"))]
     for metric, message in ((("--metric", "all"), "estimator annk needs k >= 1, got 0"),
                             (("--metric", "po2po:annk:0"),
-                             "metric 'po2po:annk:0': estimator annk needs k >= 1, got 0")):
+                             "metric 'po2po:annk:0': estimator annk needs k >= 1, got 0"), *no_k):
         code, _, stderr = run_main("benchmark", "--manifest", tmp_path / "none.csv", *metric,
                                    "--k", "0", "--out", tmp_path / "r")
         assert (code, stderr) == (2, f"pcqa: error[usage]: {message}\n")
@@ -573,3 +592,56 @@ def test_scipy_loads_only_when_a_tree_is_built(tmp_path, pair):
     assert scipy_loaded_by("degrade", "--ref", ref, "--gaussian", 0.5,
                            "--out", tmp_path / "noisy.ply") == (False, False)
     assert scipy_loaded_by("resolution", "--ref", ref) == (False, True)
+
+
+NUMPY_LOADED_AFTER = """
+import sys
+import pcqa
+imported = "numpy" in sys.modules
+code = None
+if sys.argv[1:]:
+    import pcqa.cli
+    try:
+        code = pcqa.cli.main(sys.argv[1:])
+    except SystemExit as exc:
+        code = exc.code
+print(imported, code, "numpy" in sys.modules)
+"""
+
+
+def numpy_loaded_by(*args) -> tuple[bool, int | None, bool]:
+    """(numpy loaded after ``import pcqa``, the exit code of one
+    ``pcqa.cli.main(args)`` call when args are given, numpy loaded after
+    it) in a fresh interpreter."""
+    proc = subprocess.run([sys.executable, "-c", NUMPY_LOADED_AFTER, *map(str, args)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    imported, code, loaded = proc.stdout.splitlines()[-1].split()
+    return imported == "True", None if code == "None" else int(code), loaded == "True"
+
+
+def test_numpy_loads_only_when_a_command_runs():
+    assert numpy_loaded_by() == (False, None, False)
+    for command in ((), ("compare",), ("resolution",), ("degrade",), ("benchmark",)):
+        assert numpy_loaded_by(*command, "--help") == (False, 0, False)
+    assert numpy_loaded_by("compare", "--ref", "x") == (False, 2, False)  # an argparse error
+    assert numpy_loaded_by("resolution", "--ref", "missing.ply") == (False, 3, True)
+
+
+PACKAGE_NAMESPACE = """
+import pcqa
+listed = set(dir(pcqa)) >= set(pcqa.__all__)
+try:
+    pcqa.nope
+except AttributeError as exc:
+    unknown = str(exc)
+namespace = {}
+exec("from pcqa import *", namespace)
+print(listed, [name for name in pcqa.__all__ if name not in namespace], repr(unknown))
+"""
+
+
+def test_the_lazy_namespace_binds_and_lists_every_export():
+    proc = subprocess.run([sys.executable, "-c", PACKAGE_NAMESPACE], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "True [] \"module 'pcqa' has no attribute 'nope'\"\n"

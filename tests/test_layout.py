@@ -1,6 +1,6 @@
 """Package layout: modules share only public names, objects share only
 public attributes, kd-trees and per-cloud state are built in one place
-only, the resolution estimators are spelled in ``metrics`` only, each
+only, the resolution estimators are spelled in ``spec`` only, each
 command applies the ``--bitdepth`` rule in one call that no flag guards, and
 ``pcqa.__all__`` lists each exported name once, every one of them defined."""
 
@@ -125,13 +125,14 @@ def test_every_export_is_defined_once():
     assert twice == [] and missing == []
 
 
-def test_estimator_names_are_spelled_in_metrics_only():
-    # whole string constants only: a help text that mentions annk/apdk is fine,
-    # and so is ``__all__``, which names the functions ann and mnn
+def test_estimator_names_are_spelled_in_spec_only():
+    # the one module is ``spec``, which holds ResolutionEstimator; whole string
+    # constants only: a help text that mentions annk/apdk is fine, and so is
+    # ``__all__``, which names the functions ann and mnn
     names = {"mnn", "ann", "annk", "apdk"}
     found = []
     for path in MODULES:
-        if path.name == "metrics.py":
+        if path.name == "spec.py":
             continue
         for stmt in ast.parse(path.read_text(encoding="utf-8"), filename=str(path)).body:
             if isinstance(stmt, ast.Assign) and [getattr(t, "id", None) for t in stmt.targets] == ["__all__"]:
