@@ -95,6 +95,11 @@ def _require_points(cloud: PointCloud, what: str) -> None:
         raise ValueError(f"{what} cloud is empty")
 
 
+def _mean(values: np.ndarray) -> float:
+    """The mean over points: every MSE and every resolution value is one."""
+    return float(np.mean(values))
+
+
 @dataclass
 class _CloudState:
     """What pcqa keeps about one cloud while the cloud lives.  It holds the
@@ -155,27 +160,6 @@ class PreparedCloud:
         """Store key of a value: APD_k reads the normals, so also ``normal_k``."""
         return estimator, k, self.normal_k if estimator is ResolutionEstimator.APD_K else None
 
-    def normals_at(self, rows: np.ndarray):
-        """An iterator of (block, the normals at ``rows[block]``) over blocks
-        of ``BLOCK_ROWS`` entries of ``rows`` (repeats allowed).
-        Unless all of the cloud's normals are known, only its distinct
-        ``rows`` are estimated, by one pass over them alone within this
-        call, and nothing is kept."""
-        normals, distinct = self._normals, None
-        if normals is None:
-            matched = np.zeros(len(self.cloud), dtype=bool)
-            matched[rows] = True
-            distinct = np.flatnonzero(matched)
-            normals = self._stream(self.normal_k, distinct, normals=True)[0]
-
-        def blocks():
-            for start in range(0, len(rows), BLOCK_ROWS):
-                block = slice(start, start + BLOCK_ROWS)
-                at = rows[block] if distinct is None else np.searchsorted(distinct, rows[block])
-                yield block, normals[at]
-
-        return blocks()
-
     def resolution(self, estimator: ResolutionEstimator, k: int | None = None) -> float:
         """One resolution estimate, memoized; ``k`` as ``ResolutionEstimator.read_k`` reads it."""
         k = estimator.read_k(k)
@@ -207,18 +191,14 @@ class PreparedCloud:
                 normals_.setflags(write=False)  # shared by every later call on this cloud
                 self._state.normals[self.normal_k] = normals_
             if k in apd:
-                key = self._value_key(ResolutionEstimator.APD_K, k)
-                values[key] = math.sqrt(float(np.mean(apd_sums)) / k)
+                values[self._value_key(ResolutionEstimator.APD_K, k)] = math.sqrt(_mean(apd_sums) / k)
             if k != widest:
                 continue
-            for key, width in width_of.items():
+            for key, width in width_of.items():  # ANN is ANN_k at k=1
                 if key[0] is ResolutionEstimator.MNN:
-                    value = nearest.max()
-                elif width == 1:  # ANN, and ANN_K at k=1
-                    value = np.sqrt(np.mean(nearest * nearest))
+                    values[self._value_key(*key)] = float(nearest.max())
                 else:
-                    value = math.sqrt(float(np.mean(sums[width])) / width)
-                values[self._value_key(*key)] = float(value)
+                    values[self._value_key(*key)] = math.sqrt(_mean(sums[width]) / width)
 
     def _stream(self, k: int, rows: np.ndarray | None = None, *, normals: bool = False,
                 apd: bool = False, widths=()) -> tuple:
@@ -226,7 +206,7 @@ class PreparedCloud:
         point) in blocks of ``BLOCK_ROWS``.  Each block gets one
         self-excluded k-nearest-neighbor query, from which its normals and
         degenerate mask (if ``normals``), its APD_k row sums (if ``apd``),
-        its nearest distances (if ``widths``) and, for each width w > 1 in
+        its nearest distances (if ``widths``) and, for each width w in
         ``widths``, its row sums of squared distances to the w nearest are
         written into per-row arrays.  Returns (normals, degenerate, APD_k
         sums, nearest, {w: sums}), None where not asked for; no (rows, k)
@@ -240,7 +220,7 @@ class PreparedCloud:
         degenerate = np.empty(n, dtype=bool) if normals else None
         apd_sums = np.empty(n) if apd else None
         nearest = np.empty(n) if widths else None
-        sums = {w: np.empty(n) for w in widths if w > 1}
+        sums = {w: np.empty(n) for w in widths}
         for start in range(0, n, BLOCK_ROWS):
             block = slice(start, start + BLOCK_ROWS)
             centers = rows[block]
@@ -267,6 +247,26 @@ class PreparedCloud:
         point of this cloud.  Every correspondence in pcqa comes from here."""
         idx, dists = self.index.query(points)
         return dists * dists, idx
+
+    def plane_errors(self, points: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """The po2pl error of each query point: the squared projection of
+        ``points[i] - cloud.points[rows[i]]`` onto the normal at ``rows[i]``
+        (repeats allowed), block by block, so no (N, 3) array is made.
+        Unless all of the cloud's normals are known, only its distinct
+        ``rows`` are estimated, by one pass over them alone, and nothing is kept."""
+        normals, distinct = self._normals, None
+        if normals is None:  # the matched normals first, to keep the peak memory low
+            matched = np.zeros(len(self.cloud), dtype=bool)
+            matched[rows] = True
+            distinct = np.flatnonzero(matched)
+            normals = self._stream(self.normal_k, distinct, normals=True)[0]
+        errors = np.empty(len(rows))
+        for start in range(0, len(rows), BLOCK_ROWS):
+            block = slice(start, start + BLOCK_ROWS)
+            at = rows[block] if distinct is None else np.searchsorted(distinct, rows[block])
+            proj = np.einsum("ij,ij->i", points[block] - self.cloud.points[rows[block]], normals[at])
+            errors[block] = proj * proj
+        return errors
 
     def peak_numerators(self, peaks, *, normals: bool = False) -> dict[PeakSpec, tuple[float, float]]:
         """Peak value and PSNR numerator of each peak, with this cloud as the
@@ -317,14 +317,9 @@ def nn_squared_errors(a: PointCloud, b: PointCloud) -> tuple[np.ndarray, np.ndar
 
 def _mean_squared_errors(a: PointCloud, b: PreparedCloud, po2pl: bool) -> dict[ErrorKind, float]:
     sq, idx = b.nearest(a.points)
-    out = {ErrorKind.PO2PO: float(sq.mean())}
-    if po2pl:  # block by block, so no (N, 3) array is made
-        blocks = b.normals_at(idx)  # the matched normals first, to keep the peak memory low
-        errors = np.empty(len(idx))
-        for block, normals in blocks:
-            proj = np.einsum("ij,ij->i", a.points[block] - b.cloud.points[idx[block]], normals)
-            errors[block] = proj * proj
-        out[ErrorKind.PO2PL] = float(errors.mean())
+    out = {ErrorKind.PO2PO: _mean(sq)}
+    if po2pl:
+        out[ErrorKind.PO2PL] = _mean(b.plane_errors(a.points, idx))
     return out
 
 

@@ -1,8 +1,9 @@
 """Package layout: modules share only public names, objects share only
 public attributes, kd-trees and per-cloud state are built in one place
 only, the resolution estimators are spelled in ``spec`` only, each
-command applies the ``--bitdepth`` rule in one call that no flag guards, and
-``pcqa.__all__`` lists each exported name once, every one of them defined."""
+command applies the ``--bitdepth`` rule in one call that no flag guards,
+``pcqa.__all__`` lists each exported name once, every one of them defined,
+and every mean over points in ``metrics`` is taken by ``_mean``."""
 
 import ast
 from collections import Counter
@@ -166,3 +167,12 @@ def test_per_point_kernels_step_by_the_one_block_constant():
     assert [where for where, step in steps if step != "BLOCK_ROWS"] == []
     assert owners == [("metrics.py", "")]
     assert read_off == []  # no normals.BLOCK_ROWS, nor any other module's
+
+
+def test_every_mean_over_points_is_taken_by_the_one_helper():
+    # a call named mean (np.mean, x.mean()) anywhere else in metrics would be
+    # a second spelling of the reduction, free to sum in another order
+    path = Path(pcqa.__file__).parent / "metrics.py"
+    found = [f"metrics.py:{node.lineno} in {scope or 'module'}" for node, scope in _scoped_nodes(path)
+             if isinstance(node, ast.Call) and _name(node.func) == "mean" and scope != "_mean"]
+    assert found == []

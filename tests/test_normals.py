@@ -77,7 +77,8 @@ def test_degenerate_warning_counts_the_pass_once(monkeypatch):
     monkeypatch.setattr(pcqa.metrics, "BLOCK_ROWS", 7)  # 14 blocks, each all degenerate
     rows = np.arange(0, n, 3)
     # matched rows first: they are not kept, while the whole cloud's normals are
-    for estimate, count in ((lambda: list(PreparedCloud(cloud).normals_at(rows)), len(rows)),
+    matched = (lambda: PreparedCloud(cloud).plane_errors(cloud.points[rows], rows), len(rows))
+    for estimate, count in (matched,
                             (lambda: PreparedCloud(cloud).normals, n),
                             (lambda: normal_vectors(cloud), n)):
         with warnings.catch_warnings(record=True) as caught:

@@ -279,17 +279,6 @@ def _values(cloud):
             prepared.resolution(ResolutionEstimator.APD_K, 10)]
 
 
-def _normals_at(prepared, rows):
-    """``PreparedCloud.normals_at``'s blocks joined, each checked to be the next slice of ``rows``."""
-    got, stop = [], 0
-    for block, normals in prepared.normals_at(rows):
-        assert block.start == stop and len(normals) == len(rows[block])
-        got.append(normals)
-        stop += len(normals)
-    assert stop == len(rows)
-    return np.concatenate(got)
-
-
 @pytest.mark.parametrize("block_rows", [7, 1])
 def test_block_size_does_not_change_any_bit(monkeypatch, block_rows):
     cloud = voxelized_sphere(n=1500, radius=30.0, bit_depth=7)
@@ -299,18 +288,21 @@ def test_block_size_does_not_change_any_bit(monkeypatch, block_rows):
     matched = [PreparedCloud(c).nearest(other.points)[1] for c, other in zip(clouds, clouds[::-1])]
     want = [normal_vectors(c, k=10) for c in clouds]
     want_values = [_values(c) for c in clouds]
-    want_at = [_normals_at(PreparedCloud(fresh(c)), rows) for c, rows in zip(clouds, matched)]
+    want_errors = [PreparedCloud(fresh(c)).plane_errors(other.points, rows)
+                   for c, other, rows in zip(clouds, clouds[::-1], matched)]
     want_po2pl = [psnr(a, b, ErrorKind.PO2PL, PeakSpec.rendering()).to_dict()
                   for a, b in zip(clouds, clouds[::-1])]  # both directions
 
     monkeypatch.setattr(pcqa.metrics, "BLOCK_ROWS", block_rows)
     clouds = [fresh(c) for c in clouds]  # nothing computed at the default block size is kept
-    for c, (normals, degenerate), values, rows, at in zip(clouds, want, want_values, matched, want_at):
+    for c, other, (normals, degenerate), values, rows, errors in zip(
+            clouds, clouds[::-1], want, want_values, matched, want_errors):
         got, got_degenerate = normal_vectors(c, k=10)
         assert np.array_equal(got, normals)
         assert np.array_equal(got_degenerate, degenerate)
         assert _values(c) == values  # MNN, ANN, ANN_k (3 and 10) and APD_k
-        assert np.array_equal(_normals_at(PreparedCloud(fresh(c)), rows), at)  # a matched-row pass
+        # a matched-row pass and the projection, both blocked
+        assert np.array_equal(PreparedCloud(fresh(c)).plane_errors(other.points, rows), errors)
     assert [psnr(a, b, ErrorKind.PO2PL, PeakSpec.rendering()).to_dict()
             for a, b in zip(clouds, clouds[::-1])] == want_po2pl
 
@@ -324,8 +316,9 @@ def test_matched_row_normals_equal_the_whole_cloud_normals(kdtree_calls):
         rows = prepared.nearest(other.points)[1]  # repeats, and not every row
         assert 0 < len(np.unique(rows)) < len(c)
         kdtree_calls["query_k"] = []
-        assert np.array_equal(_normals_at(prepared, rows), whole[rows])
+        errors = prepared.plane_errors(other.points, rows)
         assert kdtree_calls["query_k"] == [11]  # one pass over the matched rows
+        assert np.array_equal(errors, PreparedCloud(c.with_normals(whole)).plane_errors(other.points, rows))
         distinct = np.unique(rows)
         subset = NeighborIndex(c).self_excluded_neighbors(10, distinct)[0]
         assert np.array_equal(normal_vectors(c, k=10, neighbors=subset)[0], whole[distinct])
