@@ -96,8 +96,10 @@ def _require_points(cloud: PointCloud, what: str) -> None:
 
 
 def _mean(values: np.ndarray) -> float:
-    """The mean over points: every MSE and every resolution value is one."""
-    return float(np.mean(values))
+    """The mean over points: every MSE and every resolution value is one.
+    It sums in sorted order, so it depends on the values and not on the
+    point order, which would otherwise move the last bits of the sum."""
+    return float(np.sort(values).sum()) / len(values)
 
 
 @dataclass
@@ -123,7 +125,8 @@ class PreparedCloud:
     pass over the cloud per k that keeps per-row results only.  Normals and
     APD_k read neighbor indices, so they take the pass at exactly their own
     k.  MNN, ANN and ANN_k read only sorted distances, which do not depend
-    on how ties are broken, so they all ride along on the widest pass.
+    on how ties are broken, so they all ride along on the widest pass.  The
+    one other per-point loop is the po2pl error, ``plane_errors``.
     """
 
     def __init__(self, cloud: PointCloud, normal_k: int = DEFAULT_NORMAL_K):

@@ -5,8 +5,8 @@ is built, so importing this module loads numpy only.  All queries are exact, so
 results match an exhaustive scan up to the ordering of equidistant
 neighbors.  Every lookup is one batch query on the cloud's one tree, and it
 keeps ``cKDTree``'s pick among equidistant points; a documented tie rule is
-still open (ROADMAP item 1).  This class holds the only size checks of a
-kNN query: k against the cloud's size, and the empty cloud.
+still open.  This class holds the only size checks of a kNN query: k
+against the cloud's size, and the empty cloud.
 """
 
 from __future__ import annotations

@@ -76,6 +76,14 @@ class _Element:
     line: int  # header line that declared the element
 
 
+def _number(token: str, kind=float):
+    """``kind(token)`` for a PLY number, which is C's (strtol, strtod): the
+    digit separators that int() and float() accept ("1_000") are rejected."""
+    if "_" in token:
+        raise ValueError(f"digit separator in {token!r}")
+    return kind(token)
+
+
 def _read_header_line(stream, lineno: int) -> str:
     raw = stream.readline()
     if not raw:
@@ -119,7 +127,7 @@ def _parse_header(stream) -> tuple[str, list[_Element], int]:
                 raise PlyParseError(f"malformed element line {line!r}", line=lineno)
             name = tokens[1]
             try:
-                count = int(tokens[2])
+                count = _number(tokens[2], int)
             except ValueError:
                 raise PlyParseError(f"element count {tokens[2]!r} is not an integer", line=lineno) from None
             if count < 0:
@@ -205,15 +213,19 @@ def _ascii_vertices(lines: list[str], elements, header_lines: int, cols) -> np.n
             data = np.empty((end - start, len(cols)), dtype=np.float64)
             for first in range(start, end, _ASCII_BLOCK_ROWS):
                 last = min(first + _ASCII_BLOCK_ROWS, end)
-                tokens = " ".join(lines[row_lines[first]:row_lines[last - 1] + 1]).split()
+                text = " ".join(lines[row_lines[first]:row_lines[last - 1] + 1])
+                separated, tokens = "_" in text, text.split()
+                del text
                 try:
                     for j, c in enumerate(cols):
+                        if separated and any("_" in token for token in tokens[c::ncols]):
+                            raise ValueError("digit separator")  # which numpy would read
                         data[first - start:last - start, j] = np.array(tokens[c::ncols], dtype=np.float64)
-                except ValueError:  # find the token numpy rejected
+                except ValueError:  # find the first token rejected
                     for i, c in itertools.product(range(first, last), cols):
                         token = tokens[(i - first) * ncols + c]
                         try:
-                            float(token)
+                            _number(token)
                         except ValueError:
                             raise PlyParseError(f"non-numeric value {token!r} in vertex {i - start}",
                                                 line=header_lines + int(row_lines[i]) + 1) from None

@@ -399,6 +399,7 @@ def run_main(*args) -> tuple[int, str, str]:
     return code, stdout.getvalue(), stderr.getvalue()
 
 
+@pytest.mark.filterwarnings("default")  # the warning must be shown, not raised
 def test_a_warning_is_one_pcqa_line_on_stderr(tmp_path):
     # 32 sites, each repeated 12 times: every normal's neighborhood is coincident
     path = tmp_path / "coincident.ply"

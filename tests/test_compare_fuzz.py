@@ -28,12 +28,15 @@ COINCIDE = [("replace", SECOND, ord("0"))]
 OVERFLOW = [("insert", SECOND + 1 + i, byte) for i, byte in enumerate(b"e999")]
 
 # nearly every edit of any byte anywhere stops the parser; edits of the vertex
-# rows in their own alphabet also reach the scorer
-body_edits = st.lists(
-    st.tuples(st.sampled_from(["replace", "insert", "delete"]),
-              st.integers(BODY, len(REFERENCE) - 1), st.sampled_from(b"0123456789 .-e\n")),
-    min_size=1, max_size=4,
-)
+# rows in their own alphabet also reach the scorer, and so does a whole exponent
+# token after a digit, which can make a coordinate overflow or underflow
+byte_edit = st.tuples(st.sampled_from(["replace", "insert", "delete"]),
+                      st.integers(BODY, len(REFERENCE) - 1), st.sampled_from(b"0123456789 .-e\n"))
+AFTER_DIGITS = [i + 1 for i in range(BODY, len(REFERENCE)) if REFERENCE[i:i + 1].isdigit()]
+exponent_insert = st.tuples(st.sampled_from(AFTER_DIGITS), st.sampled_from([b"e999", b"e-999"])).map(
+    lambda at: [("insert", at[0] + i, byte) for i, byte in enumerate(at[1])])
+body_edits = st.lists(st.one_of(byte_edit.map(lambda op: [op]), exponent_insert),
+                      min_size=1, max_size=4).map(lambda groups: [op for group in groups for op in group])
 
 
 @pytest.fixture(scope="module")

@@ -237,6 +237,7 @@ def test_the_cloud_keeps_the_array_the_reader_filled(tmp_path, monkeypatch, fmt)
         (lambda t: t.replace("property float y", "property list uchar int y"), "'list'", 5),
         (lambda t: t.replace("property float y", "property quad y"), "unsupported property type", 5),
         (lambda t: t.replace("property float y", "property float x"), "duplicate property", 5),
+        (lambda t: t.replace("element vertex 3", "element vertex 0_3"), "'0_3' is not an integer", 3),
     ],
 )
 def test_header_errors_carry_line_numbers(mutate, match, line):
@@ -350,11 +351,11 @@ VERTEX_THEN_FACE = (
     b"ply\nformat ascii 1.0\nelement vertex 3\n"
     b"property float x\nproperty float y\nproperty float z\n"
     b"element face 2\nproperty int a\nproperty int b\nend_header\n"
-    b"0.5 -0 1e-320\n\n1_000 +1.5 .5\n7 8 9\n0 1\n\n1 2\nextra lines are ignored\n"
+    b"0.5 -0 1e-320\n\n1E3 +1.5 .5\n7 8 9\n0 1\n\n1 2\nextra lines are ignored\n"
 )
 FACE_PROPS = ("element face 2", "property int a", "property int b")
 FACE_THEN_VERTEX = ascii_ply(
-    ["0 1", "   ", "1 2", "0.5 -0 1e-320", "1_000 +1.5 .5", "", "7 8 9"], count=3, extra_header=FACE_PROPS
+    ["0 1", "   ", "1 2", "0.5 -0 1e-320", "1E3 +1.5 .5", "", "7 8 9"], count=3, extra_header=FACE_PROPS
 )
 
 
@@ -377,7 +378,7 @@ def per_value_oracle(data: bytes) -> np.ndarray:
 @pytest.mark.parametrize(
     "data",
     [
-        ascii_ply(["nan -0 1e-320", "1_000 +1.5 .5", "1e400 -1e400 0"]),
+        ascii_ply(["nan -0 1e-320", "1E3 +1.5 .5", "1e400 -1e400 0"]),
         SIMPLE.replace(b"\n", b"\r\n") + b"\r\n  \r\n",
         ascii_ply(
             ["0 0 1 7 1.25 2.5 -3.75 9", "0.6 0.8 0 8 1e-3 2e3 3 1", "1 0 0 9 -0 5e-324 7 2"],
@@ -414,8 +415,12 @@ def test_block_parse_matches_the_per_line_parser_bit_for_bit(monkeypatch, data, 
         (VERTEX_THEN_FACE.replace(b"\n\n1 2\nextra lines are ignored\n", b"\n"),
          "truncated body: missing face row 1", 16),
         (ascii_ply(["0 0 0 red", "1 0 0 green"], props=("x", "y", "z", "label")), None, None),
+        # a digit separator, which float() would read as 10.0; in a skipped column it stays text
+        (ascii_ply(["0 0 0 1_0", "1_0 0 0 2", "1 0"], props=("x", "y", "z", "label")),
+         "non-numeric value '1_0' in vertex 1", 10),
     ],
-    ids=["value-before-width", "face-before-vertex", "missing-face-rows", "skipped-column-text"],
+    ids=["value-before-width", "face-before-vertex", "missing-face-rows", "skipped-column-text",
+         "digit-separator"],
 )
 def test_ascii_body_reports_the_first_fault_in_file_order(monkeypatch, data, match, line, block_rows):
     monkeypatch.setattr(ply, "_ASCII_BLOCK_ROWS", block_rows)

@@ -5,6 +5,7 @@ import math
 import warnings
 
 import numpy as np
+import scipy.spatial
 from hypothesis import assume, given, settings, strategies as st
 
 from pcqa import (
@@ -24,7 +25,8 @@ from pcqa import (
     read_ply,
     write_ply,
 )
-from pcqa.evaluation import plcc, srocc, variant_from_string
+from pcqa.evaluation import full_variant_matrix, plcc, srocc, variant_from_string
+from pcqa.metrics import score_variants
 
 finite_coord = st.floats(-100.0, 100.0, allow_nan=False, allow_infinity=False, width=64)
 point3 = st.tuples(finite_coord, finite_coord, finite_coord)
@@ -243,3 +245,38 @@ def test_ply_round_trip(tmp_path_factory, cloud, format):
     assert np.array_equal(back.points, cloud.points)
     assert back.normals is not None
     np.testing.assert_allclose(back.normals, cloud.normals, rtol=0, atol=1e-12)
+
+
+# ---------------------------------------------------------------- point order
+
+ORDER_K = 10  # the default k of the normals, APD_k and ANN_k
+
+
+def _tie_free(a: np.ndarray, b: np.ndarray) -> bool:
+    """No point has two equally distant points among its nearest: ORDER_K + 1
+    of its own cloud besides itself (normals, APD_k and ANN_k read ORDER_K
+    and sum them in distance order), and 2 of the other cloud (the match)."""
+    rows = []
+    for points, other in ((a, a), (b, b), (a, b), (b, a)):
+        k = ORDER_K + 2 if points is other else 2
+        rows.append(scipy.spatial.cKDTree(other).query(points, k=k)[0])
+    return all(np.all(np.diff(d, axis=1) > 0.0) for d in rows)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(st.integers(ORDER_K + 2, 120), st.integers(ORDER_K + 2, 120),
+       st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1))
+def test_scores_depend_on_the_point_sets_only(n_a, n_b, seed, order_seed):
+    # float coordinates on a 7-bit range: a degraded cloud of jittered reference points
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(0.0, 127.0, (n_a, 3))
+    b = np.clip(a[rng.integers(0, n_a, n_b)] + rng.normal(0.0, 0.7, (n_b, 3)), 0.0, 127.0)
+    assume(_tie_free(a, b))
+    order = np.random.default_rng(order_seed)
+    perm_a, perm_b = order.permutation(n_a), order.permutation(n_b)
+
+    def scores(a, b):  # repr, so every bit counts
+        results = score_variants(PointCloud(a, bit_depth=7), PointCloud(b, bit_depth=7), full_variant_matrix())
+        return repr([result.to_dict() for result in results])
+
+    assert scores(a[perm_a], b[perm_b]) == scores(a, b)
