@@ -28,7 +28,8 @@ import os
 import sys
 import warnings
 
-from .spec import DEFAULT_ESTIMATOR_K, DEFAULT_NORMAL_K, ErrorKind, PeakKind, PeakSpec, ResolutionEstimator
+from .spec import (DEFAULT_ESTIMATOR_K, DEFAULT_NORMAL_K, ErrorKind, PeakKind, PeakSpec, ResolutionEstimator,
+                   reads_normals, require_normal_k)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -67,6 +68,16 @@ def _peak_from_flags(peak: str, ra: bool | None, k: int) -> PeakSpec:
     return spec
 
 
+def _check_normal_k(normal_k: int, read: bool) -> None:
+    """``--normal-k`` is checked, before any file is read, when a variant
+    reads normals; the others ignore it, as peaks that read no k ignore ``--k``."""
+    if read:
+        try:
+            require_normal_k(normal_k)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
+
+
 def _db_str(value: float) -> str:
     return "inf" if math.isinf(value) else f"{value:.6f}"
 
@@ -78,6 +89,7 @@ def cmd_compare(args) -> int:
 
     kind = ErrorKind(args.error)
     peak = _peak_from_flags(args.peak, args.ra, args.k)
+    _check_normal_k(args.normal_k, reads_normals(kind, peak))
     pooling = POOLING_FLAGS[args.pooling]
 
     ref = read_ply(args.ref)
@@ -115,6 +127,7 @@ def cmd_resolution(args) -> int:
     from .ply import read_ply
 
     peak = _peak_from_flags(args.peak, False, args.k)
+    _check_normal_k(args.normal_k, peak.estimator is ResolutionEstimator.APD_K)
     cloud = read_ply(args.ref)
     value = resolution(cloud, peak.estimator, peak.k, normal_k=args.normal_k)
     label = peak.label if peak.k is None else f"{peak.label}(k={peak.k})"
@@ -136,6 +149,8 @@ def cmd_degrade(args) -> int:
         raise UsageError(f"--gaussian sigma must be positive and finite, got {args.gaussian}")
     if quantize and args.octree_quantize < 1:
         raise UsageError(f"--octree-quantize needs at least 1 bit, got {args.octree_quantize}")
+    if not quantize and args.seed < 0:  # numpy's generators take no negative seed
+        raise UsageError(f"--seed must be non-negative, got {args.seed}")
     cloud = require_bit_depth(read_ply(args.ref), args.bitdepth, args.ref, quantize)
     try:
         if quantize:
@@ -172,6 +187,7 @@ def cmd_benchmark(args) -> int:
     from .ply import PlyParseError
 
     variants = _parse_variants(args.metric, args.k)
+    _check_normal_k(args.normal_k, any(reads_normals(kind, peak) for kind, peak in variants))
     pooling = POOLING_FLAGS[args.pooling]
     try:
         manifest = read_manifest(args.manifest)

@@ -220,7 +220,8 @@ def read_manifest(path) -> list[StimulusRecord]:
     """Read a benchmark manifest CSV.
 
     Expected header: ``stimulus_id,group,reference,degraded,mos`` (extra
-    columns are ignored).  A row short of a header field is an error.
+    columns are ignored).  A row short of a header field is an error, and so
+    is the group name ``POOLED_GROUP``, which names the report over every stimulus.
     Relative cloud paths are resolved against the manifest's directory.
     """
     base = os.path.dirname(os.path.abspath(path))
@@ -250,6 +251,10 @@ def read_manifest(path) -> list[StimulusRecord]:
             if sid in seen:
                 raise ValueError(f"manifest {path} line {reader.line_num}: duplicate stimulus_id {sid!r}")
             seen.add(sid)
+            group = row["group"].strip()
+            if group == POOLED_GROUP:
+                raise ValueError(f"manifest {path} line {reader.line_num}: "
+                                 f"group {group!r} is reserved for the pooled report")
             try:
                 mos = float(row["mos"])
             except ValueError:
@@ -259,7 +264,7 @@ def read_manifest(path) -> list[StimulusRecord]:
             records.append(
                 StimulusRecord(
                     stimulus_id=sid,
-                    group=row["group"].strip(),
+                    group=group,
                     reference=os.path.join(base, row["reference"].strip()),
                     degraded=os.path.join(base, row["degraded"].strip()),
                     mos=mos,

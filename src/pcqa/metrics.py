@@ -27,6 +27,8 @@ from .spec import (
     PeakKind,
     PeakSpec,
     ResolutionEstimator,
+    reads_normals,
+    require_normal_k,
 )
 
 BLOCK_ROWS = 16384  # rows per block in every per-point loop, which bounds their temporaries
@@ -214,8 +216,8 @@ class PreparedCloud:
         written into per-row arrays.  Returns (normals, degenerate, APD_k
         sums, nearest, {w: sums}), None where not asked for; no (rows, k)
         array outlives its block.  One warning counts the degenerate rows."""
-        if normals and k < 3:
-            raise ValueError(f"normal estimation needs k >= 3, got {k}")
+        if normals:
+            require_normal_k(k)
         index, points = self.index, self.cloud.points  # the index rejects an empty cloud
         rows = np.arange(len(points)) if rows is None else rows
         n = len(rows)
@@ -467,8 +469,7 @@ def score_variants(
     results = []
     for kind, peak in variants:
         peak_value, numerator = peaks[peak]
-        uses_ref = kind is ErrorKind.PO2PL or peak.estimator is ResolutionEstimator.APD_K
-        normals_a = _normals_source(a, uses_ref)
+        normals_a = _normals_source(a, reads_normals(kind, peak))
         normals_b = _normals_source(b, kind is ErrorKind.PO2PL)
         psnr_ab = _db(numerator, mse_ab[kind])
         psnr_ba = _db(numerator, mse_ba[kind])

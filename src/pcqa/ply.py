@@ -40,7 +40,7 @@ _SCALAR_TYPES = {
     "int32": "<i4",
 }
 
-_ASCII_BLOCK_ROWS = 1 << 16  # rows parsed or formatted per call, bounding token lists
+_ASCII_BLOCK_ROWS = 1 << 16  # rows parsed or formatted per call
 
 
 class PlyParseError(ValueError):
@@ -213,24 +213,18 @@ def _ascii_vertices(lines: list[str], elements, header_lines: int, cols) -> np.n
             data = np.empty((end - start, len(cols)), dtype=np.float64)
             for first in range(start, end, _ASCII_BLOCK_ROWS):
                 last = min(first + _ASCII_BLOCK_ROWS, end)
-                text = " ".join(lines[row_lines[first]:row_lines[last - 1] + 1])
-                separated, tokens = "_" in text, text.split()
-                del text
+                block = lines[row_lines[first]:row_lines[last - 1] + 1]  # numpy skips its blank lines
                 try:
-                    for j, c in enumerate(cols):
-                        if separated and any("_" in token for token in tokens[c::ncols]):
-                            raise ValueError("digit separator")  # which numpy would read
-                        data[first - start:last - start, j] = np.array(tokens[c::ncols], dtype=np.float64)
+                    data[first - start:last - start] = np.loadtxt(block, usecols=cols, ndmin=2, comments=None)
                 except ValueError:  # find the first token rejected
                     for i, c in itertools.product(range(first, last), cols):
-                        token = tokens[(i - first) * ncols + c]
+                        token = lines[row_lines[i]].split()[c]
                         try:
                             _number(token)
                         except ValueError:
                             raise PlyParseError(f"non-numeric value {token!r} in vertex {i - start}",
                                                 line=header_lines + int(row_lines[i]) + 1) from None
                     raise
-                del tokens  # release this block's tokens before the next is built
         if end < stop:
             raise PlyParseError(f"expected {ncols} values for {label} {end - start}, "
                                 f"got {widths[row_lines[end]]}", line=header_lines + int(row_lines[end]) + 1)
@@ -284,7 +278,10 @@ def read_ply(source) -> PointCloud:
     cols = _wanted_columns(vertex)  # validates x/y/z presence before touching the body
 
     if fmt == ASCII:
-        lines = source.read().decode("ascii", errors="replace").splitlines()
+        # lines end at "\n" only; a carriage return is whitespace, as for C's isspace
+        lines = source.read().decode("ascii", errors="replace").replace("\r", " ").split("\n")
+        if not lines[-1]:  # the text after the last newline, or an empty body
+            lines.pop()
         data = _ascii_vertices(lines, elements, header_lines, cols)
     else:
         data = _read_binary_body(source, elements, cols)

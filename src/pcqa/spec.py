@@ -54,6 +54,12 @@ class ResolutionEstimator(Enum):
         return PeakKind.RENDERING if self is ResolutionEstimator.APD_K else PeakKind.INTRINSIC
 
 
+def require_normal_k(k: int) -> None:
+    """The normal estimator's rule on its neighborhood size: a plane fit needs k >= 3."""
+    if k < 3:
+        raise ValueError(f"normal estimation needs k >= 3, got {k}")
+
+
 @dataclass(frozen=True)
 class PeakSpec:
     """Which normalizer feeds the PSNR numerator.
@@ -129,3 +135,9 @@ class PeakSpec:
         if ra:
             spec = replace(spec, density_adaptive=True)
         return spec
+
+
+def reads_normals(kind: ErrorKind, peak: PeakSpec) -> bool:
+    """Whether a variant reads the reference's normals: the po2pl error and
+    the APD_k peak do."""
+    return kind is ErrorKind.PO2PL or peak.estimator is ResolutionEstimator.APD_K

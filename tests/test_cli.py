@@ -465,7 +465,8 @@ def test_degrade_errors_about_the_data_name_the_source(tmp_path):
 
 def test_degrade_checks_its_flags_before_reading_the_file(tmp_path):
     missing = tmp_path / "missing.ply"
-    for flags in (("--gaussian", 0), ("--gaussian", "nan"), ("--gaussian", "inf"), ("--octree-quantize", 0)):
+    for flags in (("--gaussian", 0), ("--gaussian", "nan"), ("--gaussian", "inf"), ("--octree-quantize", 0),
+                  ("--gaussian", 1, "--seed", -1)):
         code, out, err = run_main("degrade", "--ref", missing, *flags, "--out", tmp_path / "o.ply")
         assert (code, out) == (2, "")
         assert err.startswith("pcqa: error[usage]: ") and err.count("\n") == 1, err
@@ -512,6 +513,39 @@ def test_estimator_k_rule_is_the_same_at_every_entry_point(voxel_pair, estimator
         assert shown[1].startswith(f"{label} = {resolution(cloud, estimator, k):.9f}")
         reports = json.loads((out / "report.json").read_text())["reports"]
         assert [r["k"] for r in reports] == [read, read]  # group g, then All
+
+
+@pytest.mark.parametrize("normal_k", [0, 2, 3])
+@pytest.mark.parametrize("error, peak", [("po2pl", "ann"), ("po2po", "apdk"), ("po2po", "annk")],
+                         ids=["po2pl-error", "apdk-peak", "neither"])
+def test_normal_k_rule_is_the_same_at_every_entry_point(voxel_pair, error, peak, normal_k):
+    """The po2pl error and the apdk peak read normals, estimated at a normal k
+    of at least 3; a variant that reads none ignores the flag.  On the command
+    line a bad --normal-k is a usage error, found before any file is read."""
+    ref, deg, manifest = voxel_pair
+    message = f"normal estimation needs k >= 3, got {normal_k}"
+    reads = error == "po2pl" or peak == "apdk"
+    try:
+        psnr(read_ply(ref), read_ply(deg), ErrorKind(error), PeakSpec.parse(peak), normal_k=normal_k)
+        library = None
+    except ValueError as exc:
+        library = str(exc)
+    assert library == (message if reads and normal_k < 3 else None)
+
+    out = manifest.parent / f"n-{error}-{peak}-{normal_k}"
+    commands = [
+        (reads, lambda r, d, m: ("compare", "--ref", r, "--deg", d, "--error", error, "--peak", peak)),
+        (peak == "apdk", lambda r, d, m: ("resolution", "--ref", r, "--peak", peak)),
+        (reads, lambda r, d, m: ("benchmark", "--manifest", m, "--metric", f"{error}:{peak}", "--out", out)),
+    ]
+    missing = manifest.parent / "missing"
+    for reads_normals, args in commands:
+        if reads_normals and normal_k < 3:  # rejected before the missing files are looked for
+            code, _, stderr = run_main(*args(missing, missing, missing), "--normal-k", normal_k)
+            assert (code, stderr) == (2, f"pcqa: error[usage]: {message}\n"), args
+        else:
+            code, _, stderr = run_main(*args(ref, deg, manifest), "--normal-k", normal_k)
+            assert (code, stderr) == (0, ""), args
 
 
 def test_benchmark_rejects_a_bad_k_as_a_usage_error(tmp_path):

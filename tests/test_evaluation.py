@@ -218,6 +218,8 @@ def test_read_manifest_accepts_extra_columns(tmp_path):
         (["", "s1,g,a.ply,b.ply,x"], None, "line 3: MOS 'x' is not a number"),
         (["s1,g,a.ply,b.ply,2", "s2,g,a.ply,b.ply,3\udcff"], None,
          r"manifest \S+m\.csv line 3: not UTF-8 \(byte 0xff at offset 78\)"),
+        # the pooled report is named "All", so no group of the manifest may be
+        (["s1,B,a.ply,b.ply,2", "s2, All ,a.ply,b.ply,3"], None, "line 3: group 'All' is reserved"),
     ],
 )
 def test_read_manifest_rejects_bad_rows(tmp_path, rows, header, match):

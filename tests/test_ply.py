@@ -418,9 +418,13 @@ def test_block_parse_matches_the_per_line_parser_bit_for_bit(monkeypatch, data, 
         # a digit separator, which float() would read as 10.0; in a skipped column it stays text
         (ascii_ply(["0 0 0 1_0", "1_0 0 0 2", "1 0"], props=("x", "y", "z", "label")),
          "non-numeric value '1_0' in vertex 1", 10),
+        # lines end at "\n" only: a form feed ends no line, so the next lines keep their numbers
+        (ascii_ply(["0 0 0\f", "1 0 0", "7 8 x"]), "non-numeric value 'x' in vertex 2", 10),
+        # and a vertical tab or carriage return inside a row separates values, as C's isspace says
+        (ascii_ply(["0\v0 0", "1 0\r0"]), None, None),
     ],
     ids=["value-before-width", "face-before-vertex", "missing-face-rows", "skipped-column-text",
-         "digit-separator"],
+         "digit-separator", "form-feed-ends-no-line", "inner-whitespace"],
 )
 def test_ascii_body_reports_the_first_fault_in_file_order(monkeypatch, data, match, line, block_rows):
     monkeypatch.setattr(ply, "_ASCII_BLOCK_ROWS", block_rows)

@@ -14,6 +14,7 @@ import pytest
 import scipy.spatial
 
 import pcqa.metrics
+import pcqa.neighbors
 import pcqa.normals
 from pcqa import (
     ErrorKind,
@@ -305,6 +306,20 @@ def test_block_size_does_not_change_any_bit(monkeypatch, block_rows):
         assert np.array_equal(PreparedCloud(fresh(c)).plane_errors(other.points, rows), errors)
     assert [psnr(a, b, ErrorKind.PO2PL, PeakSpec.rendering()).to_dict()
             for a, b in zip(clouds, clouds[::-1])] == want_po2pl
+
+
+def test_thread_count_does_not_change_any_bit(monkeypatch):
+    # voxel content, where most rows have two or more equidistant nearest points
+    ref = voxelized_sphere(n=3000, radius=30.0, bit_depth=7)
+    deg = octree_quantize(ref, 1)
+    nearest_two = scipy.spatial.cKDTree(deg.points).query(ref.points, k=2)[0]
+    assert (nearest_two[:, 0] == nearest_two[:, 1]).mean() > 0.5
+    results = []
+    for workers in (1, 2):
+        monkeypatch.setattr(pcqa.neighbors, "_workers", lambda workers=workers: workers)
+        scores = score_variants(fresh(ref), fresh(deg), full_variant_matrix())  # nothing kept is reused
+        results.append(repr([result.to_dict() for result in scores]))
+    assert results[0] == results[1]
 
 
 def test_matched_row_normals_equal_the_whole_cloud_normals(kdtree_calls):
