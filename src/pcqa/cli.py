@@ -207,7 +207,7 @@ def cmd_benchmark(args) -> int:
         quartic=args.quartic,
     )
     if not reports:
-        raise ValueError("no group had at least 5 finite stimuli; nothing to report")
+        raise ValueError("no group could be fitted; nothing to report")
 
     csv_path = os.path.join(args.out, "report.csv")
     json_path = os.path.join(args.out, "report.json")

@@ -219,9 +219,9 @@ def srocc(x, y) -> float:
 def read_manifest(path) -> list[StimulusRecord]:
     """Read a benchmark manifest CSV.
 
-    Expected header: ``stimulus_id,group,reference,degraded,mos`` (extra
-    columns are ignored).  A row short of a header field is an error, and so
-    is the group name ``POOLED_GROUP``, which names the report over every stimulus.
+    Expected header: ``stimulus_id,group,reference,degraded,mos`` (extra columns
+    and a leading byte order mark are ignored).  A row of another width than the
+    header is an error, and so is the group ``POOLED_GROUP``, the pooled report's name.
     Relative cloud paths are resolved against the manifest's directory.
     """
     base = os.path.dirname(os.path.abspath(path))
@@ -235,16 +235,17 @@ def read_manifest(path) -> list[StimulusRecord]:
         line = raw.count(b"\n", 0, exc.start) + 1
         raise ValueError(f"manifest {path} line {line}: not UTF-8 "
                          f"(byte 0x{raw[exc.start]:02x} at offset {exc.start})") from None
-    with io.StringIO(text, newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = [c for c in MANIFEST_COLUMNS if c not in (reader.fieldnames or ())]
+    with io.StringIO(text.removeprefix("\ufeff"), newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        missing = [c for c in MANIFEST_COLUMNS if c not in header]
         if missing:
             raise ValueError(f"manifest {path} is missing column(s): {', '.join(missing)}")
-        for row in reader:
-            if None in row.values():  # csv fills the fields a short row lacks with None
-                got = sum(value is not None for value in row.values())
+        for fields in filter(None, reader):  # blank lines are skipped, as by csv.DictReader
+            if len(fields) != len(header):
                 raise ValueError(f"manifest {path} line {reader.line_num}: "
-                                 f"expected {len(reader.fieldnames)} fields, got {got}")
+                                 f"expected {len(header)} fields, got {len(fields)}")
+            row = dict(zip(header, fields))
             sid = row["stimulus_id"].strip()
             if not sid:
                 raise ValueError(f"manifest {path} line {reader.line_num}: empty stimulus_id")
@@ -332,7 +333,11 @@ def benchmark_scores(
             ref = references[stim.reference] = require_bit_depth(
                 _load_cloud(stim.reference, stim.stimulus_id), bit_depth, stim.reference, needs_bits)
         deg = _load_cloud(stim.degraded, stim.stimulus_id)
-        scores[row] = score_pair(ref, deg, metrics, pooling=pooling, normal_k=normal_k)
+        try:
+            scores[row] = score_pair(ref, deg, metrics, pooling=pooling, normal_k=normal_k)
+        except ValueError as exc:
+            exc.args = (f"stimulus {stim.stimulus_id!r}: {exc}",)  # a ZeroPeakError stays one
+            raise
     return scores
 
 
@@ -350,8 +355,8 @@ def run_benchmark(
     For each variant and each group (plus the pooled ``All`` set) the
     objective scores are regressed onto MOS and the report carries PLCC and
     SROCC of predicted versus actual MOS.  Stimuli with infinite quality
-    (zero error) are excluded from the fit and counted; groups with fewer
-    than 5 finite stimuli are skipped with a warning.
+    (zero error) are excluded from the fit and counted.  A group the fit or a
+    correlation rejects is skipped with a warning that names the reason.
     """
     scores = benchmark_scores(
         manifest, metrics, pooling=pooling, normal_k=normal_k, bit_depth=bit_depth
@@ -371,18 +376,16 @@ def run_benchmark(
         for group, members in group_sets:
             finite = members & np.isfinite(objective_all)
             excluded = int(members.sum() - finite.sum())
-            if finite.sum() < MIN_GROUP_SIZE:
-                warnings.warn(
-                    f"group {group!r}: only {int(finite.sum())} finite stimuli for "
-                    f"{kind.value}/{peak.label}; skipping (need {MIN_GROUP_SIZE})",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                continue
             x = objective_all[finite]
             y = mos_all[finite]
-            beta = fit_regression(x, y, quartic=quartic)
-            predicted = predict_mos(beta, x, quartic=quartic)
+            try:
+                beta = fit_regression(x, y, quartic=quartic)
+                predicted = predict_mos(beta, x, quartic=quartic)
+                pearson, spearman = plcc(predicted, y), srocc(predicted, y)
+            except ValueError as exc:
+                warnings.warn(f"group {group!r}: {kind.value}/{peak.label}: {exc}; skipping",
+                              RuntimeWarning, stacklevel=2)
+                continue
             reports.append(
                 CorrelationReport(
                     group=group,
@@ -394,8 +397,8 @@ def run_benchmark(
                     objective=tuple(float(v) for v in x),
                     mos=tuple(float(v) for v in y),
                     predicted_mos=tuple(float(v) for v in predicted),
-                    plcc=plcc(predicted, y),
-                    srocc=srocc(predicted, y),
+                    plcc=pearson,
+                    srocc=spearman,
                     monotone_fit=fit_is_monotone(beta, float(x.min()), float(x.max()), quartic=quartic),
                     excluded_infinite=excluded,
                 )

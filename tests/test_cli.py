@@ -284,6 +284,26 @@ def test_benchmark_damaged_stimulus_names_it(tmp_path, manifest):
                            "non-numeric value 'x' in vertex 1 (line 9)\n")
 
 
+def test_benchmark_with_no_group_to_fit_is_invalid_data_after_its_warnings(tmp_path, manifest):
+    header, *rows = manifest.read_text().splitlines()  # every MOS 3.0: nothing correlates with it
+    manifest.write_text("\n".join([header] + [row.rpartition(",")[0] + ",3.0" for row in rows]) + "\n")
+    proc = run_cli("benchmark", "--manifest", manifest, "--metric", "po2po:ld", "--out", tmp_path / "r")
+    assert proc.returncode == 6
+    skipped = "po2po/ld: correlation undefined for a constant sequence; skipping"
+    assert proc.stderr == (f"pcqa: warning: group 'noise': {skipped}\n"
+                           f"pcqa: warning: group 'All': {skipped}\n"
+                           "pcqa: error[invalid-data]: no group could be fitted; nothing to report\n")
+    assert not (tmp_path / "r" / "report.csv").exists()
+
+
+def test_a_scoring_error_names_its_stimulus(tmp_path, manifest):
+    write_ply(PointCloud(np.eye(3) * 4), tmp_path / "d3.ply")
+    proc = run_cli("benchmark", "--manifest", manifest, "--metric", "po2pl:ld", "--out", tmp_path / "r")
+    assert proc.returncode == 6
+    assert proc.stderr == ("pcqa: error[invalid-data]: stimulus 's3': "
+                           "cloud of 3 points is too small for k=10 (need k+1 points)\n")
+
+
 def test_unknown_bit_depth_is_a_usage_error_naming_the_reference(tmp_path):
     neg = tmp_path / "neg.ply"
     write_ply(PointCloud([[-1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]), neg)

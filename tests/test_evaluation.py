@@ -215,6 +215,8 @@ def test_read_manifest_accepts_extra_columns(tmp_path):
         ([], None, "no stimuli"),
         (["s1,g,b.ply,2"], "stimulus_id,group,degraded,mos", "missing column"),
         (["s1,g,a.ply,b.ply,2", "s4,noise,ref.plyd4.ply,1.9"], None, "line 3: expected 5 fields, got 4"),
+        # an unquoted decimal comma: a long row is as wrong as a short one
+        (["s1,g,a.ply,b.ply,3,5"], None, "line 2: expected 5 fields, got 6"),
         (["", "s1,g,a.ply,b.ply,x"], None, "line 3: MOS 'x' is not a number"),
         (["s1,g,a.ply,b.ply,2", "s2,g,a.ply,b.ply,3\udcff"], None,
          r"manifest \S+m\.csv line 3: not UTF-8 \(byte 0xff at offset 78\)"),
@@ -230,6 +232,14 @@ def test_read_manifest_rejects_bad_rows(tmp_path, rows, header, match):
         write_manifest(path, rows)
     with pytest.raises(ValueError, match=match):
         read_manifest(path)
+
+
+def test_read_manifest_drops_a_leading_byte_order_mark(tmp_path):
+    # spreadsheet "CSV UTF-8" exports start with EF BB BF
+    write_manifest(tmp_path / "plain.csv", ["s1,g,a.ply,b.ply,2", "s2,g,a.ply,c.ply,3"])
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + (tmp_path / "plain.csv").read_bytes())
+    assert read_manifest(marked) == read_manifest(tmp_path / "plain.csv")
 
 
 def test_stimulus_record_validates_mos_range():
@@ -370,6 +380,30 @@ def test_benchmark_excludes_infinite_and_warns_on_small_groups(tmp_path, rng):
     assert by_group["main"].n == 5 and by_group["main"].excluded_infinite == 1
     assert by_group["All"].n == 6 and by_group["All"].excluded_infinite == 1
     assert "perfect" not in by_group["All"].stimulus_ids
+
+
+def test_benchmark_skips_each_group_the_fit_or_a_correlation_rejects(tmp_path, rng):
+    ref = random_voxel_cloud(rng, n=300, bit_depth=6)
+    write_ply(ref, tmp_path / "ref.ply")
+    rows = []
+    for level, sigma in enumerate([0.2, 0.4, 0.8, 1.6, 3.2], start=1):
+        write_ply(gaussian_jitter(ref, sigma, seed=level), tmp_path / f"d{level}.ply")
+        rows.append(f"h{level},healthy,ref.ply,d{level}.ply,{5.2 - 0.8 * level}")
+        # one shared degraded file: five equal scores, so no cubic spans them
+        rows.append(f"f{level},flat,ref.ply,d1.ply,{5.2 - 0.8 * level}")
+        # one MOS for five scores: no correlation with a constant exists
+        rows.append(f"c{level},constant,ref.ply,d{level}.ply,3.0")
+    manifest = tmp_path / "m.csv"
+    write_manifest(manifest, rows)
+
+    with pytest.warns(RuntimeWarning) as caught:
+        reports = run_benchmark(read_manifest(manifest), [(ErrorKind.PO2PO, PeakSpec.precision())])
+    assert sorted(str(w.message) for w in caught) == [
+        "group 'constant': po2po/precision: correlation undefined for a constant sequence; skipping",
+        "group 'flat': po2po/precision: rank-deficient design: "
+        "objective values do not span a 4-parameter fit; skipping",
+    ]
+    assert [(r.group, r.n) for r in reports] == [("healthy", 5), ("All", 15)]
 
 
 def test_benchmark_fails_fast_on_missing_file(tmp_path, rng):

@@ -3,7 +3,8 @@ public attributes, kd-trees and per-cloud state are built in one place
 only, the resolution estimators are spelled in ``spec`` only, each
 command applies the ``--bitdepth`` rule in one call that no flag guards,
 ``pcqa.__all__`` lists each exported name once, every one of them defined,
-and every mean over points in ``metrics`` is taken by ``_mean``."""
+every mean over points in ``metrics`` is taken by ``_mean``, and the
+benchmark's group-size rule is read by ``fit_regression`` only."""
 
 import ast
 from collections import Counter
@@ -176,3 +177,11 @@ def test_every_mean_over_points_is_taken_by_the_one_helper():
     found = [f"metrics.py:{node.lineno} in {scope or 'module'}" for node, scope in _scoped_nodes(path)
              if isinstance(node, ast.Call) and _name(node.func) == "mean" and scope != "_mean"]
     assert found == []
+
+
+def test_the_group_size_rule_has_one_reader():
+    # run_benchmark reports whatever group the fit accepts, so it restates no size
+    path = Path(pcqa.__file__).parent / "evaluation.py"
+    uses = {(type(node.ctx).__name__, scope) for node, scope in _scoped_nodes(path)
+            if isinstance(node, ast.Name) and node.id == "MIN_GROUP_SIZE"}
+    assert uses == {("Store", ""), ("Load", "fit_regression")}

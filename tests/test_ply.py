@@ -238,6 +238,7 @@ def test_the_cloud_keeps_the_array_the_reader_filled(tmp_path, monkeypatch, fmt)
         (lambda t: t.replace("property float y", "property quad y"), "unsupported property type", 5),
         (lambda t: t.replace("property float y", "property float x"), "duplicate property", 5),
         (lambda t: t.replace("element vertex 3", "element vertex 0_3"), "'0_3' is not an integer", 3),
+        (lambda t: t.replace("end_header", "element vertex 1\nend_header"), "duplicate element 'vertex'", 7),
     ],
 )
 def test_header_errors_carry_line_numbers(mutate, match, line):
