@@ -166,24 +166,18 @@ def cmd_degrade(args) -> int:
 def _parse_variants(tokens: list[str] | None, k: int):
     from .evaluation import full_variant_matrix, variant_from_string
 
-    if tokens is None:
-        tokens = ["all"]
     variants = []
-    for token in tokens:
+    for token in tokens or ["all"]:
         token = token.strip()
-        if not token:
-            raise UsageError("empty metric specification")
         try:
             variants += full_variant_matrix(k) if token.lower() == "all" else [variant_from_string(token, k)]
         except ValueError as exc:
             raise UsageError(str(exc)) from None
-    if not variants:
-        raise UsageError("no metric variants given")
     return variants
 
 
 def cmd_benchmark(args) -> int:
-    from .evaluation import read_manifest, run_benchmark, write_report_csv, write_report_json
+    from .evaluation import read_manifest, run_benchmark, variant_to_string, write_report_csv, write_report_json
     from .ply import PlyParseError
 
     variants = _parse_variants(args.metric, args.k)
@@ -213,8 +207,7 @@ def cmd_benchmark(args) -> int:
     json_path = os.path.join(args.out, "report.json")
     config = {
         "manifest": args.manifest,
-        "metrics": [f"{kind.value}:{peak.label}" + ("" if peak.k is None else f":{peak.k}")
-                    for kind, peak in variants],
+        "metrics": [variant_to_string(v) for v in variants],
         "pooling": pooling,
         "normal_k": args.normal_k,
         "bit_depth": args.bitdepth,

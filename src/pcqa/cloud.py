@@ -13,11 +13,12 @@ UNIT_NORMAL_TOL = 1e-9
 BIT_DEPTHS = range(1, 54)
 
 
-def _check_bit_depth(bit_depth: int) -> int:
+def _check_bit_depth(bit_depth) -> int:
+    """``bit_depth`` as an ``int`` if it equals one in ``BIT_DEPTHS`` (10.0 does; 10.7 and "10" do not)."""
     if bit_depth not in BIT_DEPTHS:
         raise ValueError(f"bit depth must be an integer in [{BIT_DEPTHS[0]}, {BIT_DEPTHS[-1]}], "
                          f"got {bit_depth}")
-    return bit_depth
+    return int(bit_depth)
 
 
 def _read_only(values) -> np.ndarray:
@@ -74,9 +75,9 @@ class PointCloud:
                 raise ValueError(f"normals must be unit length within {UNIT_NORMAL_TOL} (worst |err|={worst:g})")
             object.__setattr__(self, "normals", normals)
         if self.bit_depth is not None:
-            b = _check_bit_depth(int(self.bit_depth))
+            b = _check_bit_depth(self.bit_depth)
             object.__setattr__(self, "bit_depth", b)
-            if len(self) and (self.points.min() < 0.0 or self.points.max() > 2.0**b - 1.0):
+            if len(self) and (self.points.min() < 0.0 or self.points.max() > precision_peak(b)):
                 raise ValueError(
                     f"coordinates outside [0, 2**{b} - 1] for the declared bit depth"
                 )

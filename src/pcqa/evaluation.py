@@ -159,8 +159,8 @@ def fit_is_monotone(coefficients, lo: float, hi: float, *, quartic: bool = False
     return bool(np.all(values >= -tol) or np.all(values <= tol))
 
 
-def plcc(x, y) -> float:
-    """Pearson linear correlation coefficient."""
+def _correlation_samples(x, y, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """``x``, ``y`` as float64 samples of the correlation ``name``: 1-D, equal length, 2+, not constant."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.ndim != 1 or x.shape != y.shape:
@@ -168,7 +168,13 @@ def plcc(x, y) -> float:
     if len(x) < 2:
         raise ValueError("correlation needs at least 2 samples")
     if np.ptp(x) == 0.0 or np.ptp(y) == 0.0:
-        raise ValueError("correlation undefined for a constant sequence")
+        raise ValueError(f"{name} undefined for a constant sequence")
+    return x, y
+
+
+def plcc(x, y) -> float:
+    """Pearson linear correlation coefficient."""
+    x, y = _correlation_samples(x, y, "correlation")
     r = float(np.clip(np.dot(_unit_deviations(x), _unit_deviations(y)), -1.0, 1.0))
     return float(np.round(r)) if len(x) == 2 else r
 
@@ -197,14 +203,7 @@ def srocc(x, y) -> float:
     floating point: identical orderings give 1.0, reversed give -1.0, at
     any n.  Inputs with ties fall back to the general form.
     """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.ndim != 1 or x.shape != y.shape:
-        raise ValueError("inputs must be 1-D sequences of equal length")
-    if len(x) < 2:
-        raise ValueError("correlation needs at least 2 samples")
-    if np.ptp(x) == 0.0 or np.ptp(y) == 0.0:
-        raise ValueError("rank correlation undefined for a constant sequence")
+    x, y = _correlation_samples(x, y, "rank correlation")
     if np.isnan(x).any() or np.isnan(y).any():
         return float("nan")
     rx = _average_ranks(x)
@@ -220,8 +219,9 @@ def read_manifest(path) -> list[StimulusRecord]:
     """Read a benchmark manifest CSV.
 
     Expected header: ``stimulus_id,group,reference,degraded,mos`` (extra columns
-    and a leading byte order mark are ignored).  A row of another width than the
-    header is an error, and so is the group ``POOLED_GROUP``, the pooled report's name.
+    and a leading byte order mark are ignored), each of these named once.  A row of
+    another width than the header is an error, and so is the group ``POOLED_GROUP``,
+    the pooled report's name.
     Relative cloud paths are resolved against the manifest's directory.
     """
     base = os.path.dirname(os.path.abspath(path))
@@ -241,6 +241,9 @@ def read_manifest(path) -> list[StimulusRecord]:
         missing = [c for c in MANIFEST_COLUMNS if c not in header]
         if missing:
             raise ValueError(f"manifest {path} is missing column(s): {', '.join(missing)}")
+        repeated = [c for c in MANIFEST_COLUMNS if header.count(c) > 1]
+        if repeated:
+            raise ValueError(f"manifest {path} line {reader.line_num}: column {repeated[0]!r} appears twice")
         for fields in filter(None, reader):  # blank lines are skipped, as by csv.DictReader
             if len(fields) != len(header):
                 raise ValueError(f"manifest {path} line {reader.line_num}: "
@@ -383,7 +386,7 @@ def run_benchmark(
                 predicted = predict_mos(beta, x, quartic=quartic)
                 pearson, spearman = plcc(predicted, y), srocc(predicted, y)
             except ValueError as exc:
-                warnings.warn(f"group {group!r}: {kind.value}/{peak.label}: {exc}; skipping",
+                warnings.warn(f"group {group!r}: {variant_to_string((kind, peak))}: {exc}; skipping",
                               RuntimeWarning, stacklevel=2)
                 continue
             reports.append(
@@ -442,6 +445,12 @@ def variant_from_string(text: str, k: int | None = None) -> MetricVariant:
     if rest and peak.k is None:
         raise ValueError(f"metric {text!r}: peak {parts[1]!r} reads no k, got {rest[0]!r}")
     return kind, peak
+
+
+def variant_to_string(variant: MetricVariant) -> str:
+    """Inverse of ``variant_from_string``: ``po2po:precision``, ``po2pl:ra-apdk:10``."""
+    kind, peak = variant
+    return f"{kind.value}:{peak.label}" + ("" if peak.k is None else f":{peak.k}")
 
 
 def full_variant_matrix(k: int = DEFAULT_ESTIMATOR_K) -> list[MetricVariant]:

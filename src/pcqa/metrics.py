@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .cloud import PointCloud, precision_peak
+from .cloud import UNIT_NORMAL_TOL, PointCloud, precision_peak
 from . import normals as _normals
 from .neighbors import NeighborIndex
 from .spec import (
@@ -379,8 +379,8 @@ def planar_offset(center, normal, neighbor) -> np.ndarray:
     longer than the offset itself.
     """
     normal = np.asarray(normal, dtype=np.float64)
-    if abs(float(np.linalg.norm(normal)) - 1.0) > 1e-9:
-        raise ValueError("normal must be unit length within 1e-9")
+    if abs(float(np.linalg.norm(normal)) - 1.0) > UNIT_NORMAL_TOL:
+        raise ValueError(f"normal must be unit length within {UNIT_NORMAL_TOL}")
     offset = np.asarray(neighbor, dtype=np.float64) - np.asarray(center, dtype=np.float64)
     return offset - (offset @ normal) * normal
 

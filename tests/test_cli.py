@@ -289,11 +289,30 @@ def test_benchmark_with_no_group_to_fit_is_invalid_data_after_its_warnings(tmp_p
     manifest.write_text("\n".join([header] + [row.rpartition(",")[0] + ",3.0" for row in rows]) + "\n")
     proc = run_cli("benchmark", "--manifest", manifest, "--metric", "po2po:ld", "--out", tmp_path / "r")
     assert proc.returncode == 6
-    skipped = "po2po/ld: correlation undefined for a constant sequence; skipping"
+    skipped = "po2po:ld: correlation undefined for a constant sequence; skipping"
     assert proc.stderr == (f"pcqa: warning: group 'noise': {skipped}\n"
                            f"pcqa: warning: group 'All': {skipped}\n"
                            "pcqa: error[invalid-data]: no group could be fitted; nothing to report\n")
     assert not (tmp_path / "r" / "report.csv").exists()
+
+
+def test_each_k_variant_skipping_a_group_warns_under_its_own_name(tmp_path, manifest):
+    # the two warnings differ only in k; a name without it would be one text,
+    # and the default warning filter would show it once
+    rows = manifest.read_text().splitlines()
+    manifest.write_text("\n".join(rows + [f"t{i},twin,ref.ply,d{i}.ply,3" for i in (1, 2, 3)]) + "\n")
+    proc = run_cli("benchmark", "--manifest", manifest, "--metric", "po2po:annk:8",
+                   "--metric", "po2po:annk:12", "--out", tmp_path / "r")
+    assert proc.returncode == 0
+    short = "need at least 5 samples for a 4-parameter fit, got 3; skipping"
+    assert proc.stderr == (f"pcqa: warning: group 'twin': po2po:annk:8: {short}\n"
+                           f"pcqa: warning: group 'twin': po2po:annk:12: {short}\n")
+
+
+def test_an_empty_metric_is_read_by_the_variant_grammar(tmp_path, manifest):
+    proc = run_cli("benchmark", "--manifest", manifest, "--metric", "", "--out", tmp_path / "r")
+    assert proc.returncode == 2
+    assert proc.stderr == "pcqa: error[usage]: metric '': expected at least error:peak\n"
 
 
 def test_a_scoring_error_names_its_stimulus(tmp_path, manifest):

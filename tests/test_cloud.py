@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -143,6 +144,26 @@ def test_with_methods_return_new_objects():
 def test_infer_bit_depth(hi, expected):
     cloud = PointCloud([[0.0, 0.0, float(hi)]])
     assert infer_bit_depth(cloud) == expected
+
+
+@pytest.mark.parametrize("depth", [10.7, "10"])
+def test_a_bit_depth_must_be_an_integer_at_every_entry_point(depth):
+    cloud = PointCloud([[1.0, 2.0, 3.0]])
+    message = re.escape(f"bit depth must be an integer in [1, 53], got {depth}")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        PointCloud(cloud.points, bit_depth=depth)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        cloud.with_bit_depth(depth)
+    with pytest.raises(ValueError, match=f"^ref\\.ply: --bitdepth {depth}: {message}$"):
+        require_bit_depth(cloud, depth, "ref.ply")
+
+
+@pytest.mark.parametrize("depth", [10, 10.0, np.int64(10)])
+def test_an_integral_bit_depth_is_kept_as_an_int(depth):
+    cloud = PointCloud([[1.0, 2.0, 3.0]])
+    for declared in (PointCloud(cloud.points, bit_depth=depth), cloud.with_bit_depth(depth),
+                     require_bit_depth(cloud, depth, "ref.ply")):
+        assert type(declared.bit_depth) is int and declared.bit_depth == 10
 
 
 def test_infer_bit_depth_exact_at_power_boundaries():

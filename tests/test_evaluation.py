@@ -30,6 +30,7 @@ from pcqa.evaluation import (
     fit_is_monotone,
     full_variant_matrix,
     variant_from_string,
+    variant_to_string,
 )
 from shapes import random_voxel_cloud
 
@@ -178,6 +179,18 @@ def test_correlation_input_validation():
         srocc([1.0, 2.0], [1.0])
 
 
+@pytest.mark.parametrize("x, y, message", [
+    ([1.0, 2.0, 3.0], [1.0, 2.0], "inputs must be 1-D sequences of equal length"),
+    ([[1.0, 2.0], [3.0, 4.0]], [[1.0, 2.0], [3.0, 5.0]], "inputs must be 1-D sequences of equal length"),
+    ([1.0], [2.0], "correlation needs at least 2 samples"),
+    ([2.0, 2.0, 2.0], [1.0, 2.0, 3.0], "{}correlation undefined for a constant sequence"),
+])
+@pytest.mark.parametrize("correlate, name", [(plcc, ""), (srocc, "rank ")])
+def test_plcc_and_srocc_check_their_samples_alike(correlate, name, x, y, message):
+    with pytest.raises(ValueError, match=f"^{message.format(name)}$"):
+        correlate(x, y)
+
+
 # --------------------------------------------------------------- the manifest
 
 
@@ -222,6 +235,9 @@ def test_read_manifest_accepts_extra_columns(tmp_path):
         (["s1,B,a.ply,b.ply,2", "s2, All ,a.ply,b.ply,3"], None, "line 3: group 'All' is reserved"),
         # an unquoted decimal comma: a long row is as wrong as a short one
         (["s1,g,a.ply,b.ply,3,5"], None, "line 2: expected 5 fields, got 6"),
+        # a column named twice would be read from whichever copy comes last
+        (["s1,g,a.ply,b.ply,2,4"], "stimulus_id,group,reference,degraded,mos,mos",
+         "line 1: column 'mos' appears twice"),
     ],
 )
 def test_read_manifest_rejects_bad_rows(tmp_path, rows, header, match):
@@ -263,6 +279,15 @@ def test_variant_string_round_trip():
     }
     for text, variant in expected.items():
         assert variant_from_string(text) == variant
+
+
+@pytest.mark.parametrize("k", [1, 10, 12])
+def test_variant_to_string_is_read_back_by_variant_from_string(k):
+    for variant in full_variant_matrix(k):
+        assert variant_from_string(variant_to_string(variant)) == variant
+    assert variant_to_string((ErrorKind.PO2PO, PeakSpec.precision())) == "po2po:precision"
+    assert (variant_to_string((ErrorKind.PO2PL, PeakSpec.rendering(k, density_adaptive=True)))
+            == f"po2pl:ra-apdk:{k}")
 
 
 def test_variant_string_errors():
@@ -399,8 +424,8 @@ def test_benchmark_skips_each_group_the_fit_or_a_correlation_rejects(tmp_path, r
     with pytest.warns(RuntimeWarning) as caught:
         reports = run_benchmark(read_manifest(manifest), [(ErrorKind.PO2PO, PeakSpec.precision())])
     assert sorted(str(w.message) for w in caught) == [
-        "group 'constant': po2po/precision: correlation undefined for a constant sequence; skipping",
-        "group 'flat': po2po/precision: rank-deficient design: "
+        "group 'constant': po2po:precision: correlation undefined for a constant sequence; skipping",
+        "group 'flat': po2po:precision: rank-deficient design: "
         "objective values do not span a 4-parameter fit; skipping",
     ]
     assert [(r.group, r.n) for r in reports] == [("healthy", 5), ("All", 15)]

@@ -3,8 +3,10 @@ public attributes, kd-trees and per-cloud state are built in one place
 only, the resolution estimators are spelled in ``spec`` only, each
 command applies the ``--bitdepth`` rule in one call that no flag guards,
 ``pcqa.__all__`` lists each exported name once, every one of them defined,
-every mean over points in ``metrics`` is taken by ``_mean``, and the
-benchmark's group-size rule is read by ``fit_regression`` only."""
+every mean over points in ``metrics`` is taken by ``_mean``, the
+benchmark's group-size rule is read by ``fit_regression`` only, and the
+unit-normal tolerance, a bit depth's coercion and a variant's spelling are
+each stated once."""
 
 import ast
 from collections import Counter
@@ -150,7 +152,8 @@ def _name(node) -> str | None:
 
 
 def test_per_point_kernels_step_by_the_one_block_constant():
-    # ply keeps its own _ASCII_BLOCK_ROWS, which bounds token lists, not kernels;
+    # ply keeps its own _ASCII_BLOCK_ROWS, which bounds the rows per np.loadtxt
+    # call and per write, not kernels;
     # every blocked loop is in metrics, which owns the constant and reads it bare
     steps, owners, read_off = [], [], []
     for path in MODULES:
@@ -185,3 +188,21 @@ def test_the_group_size_rule_has_one_reader():
     uses = {(type(node.ctx).__name__, scope) for node, scope in _scoped_nodes(path)
             if isinstance(node, ast.Name) and node.id == "MIN_GROUP_SIZE"}
     assert uses == {("Store", ""), ("Load", "fit_regression")}
+
+
+def test_value_rules_have_one_statement():
+    # UNIT_NORMAL_TOL is the one unit-normal tolerance, _check_bit_depth the one
+    # place a bit depth becomes an int, and variant_to_string the one spelling
+    # of a variant, read by the report's config and the skip warning alike
+    tolerances, coercions = [], []
+    for path in MODULES:
+        for node, scope in _scoped_nodes(path):
+            if isinstance(node, ast.Constant) and type(node.value) is float and node.value == 1e-9:
+                tolerances.append((path.name, scope))
+            if (isinstance(node, ast.Call) and _name(node.func) == "int" and node.args
+                    and "bit_depth" in (_name(node.args[0]) or "")):
+                coercions.append((path.name, scope))
+    assert tolerances == [("cloud.py", "")]
+    assert coercions == [("cloud.py", "_check_bit_depth")]
+    assert sorted(set(_calls("variant_to_string"))) == [("cli.py", "cmd_benchmark"),
+                                                        ("evaluation.py", "run_benchmark")]
