@@ -19,8 +19,8 @@ _EXPORTS = {
     "spec": "DEFAULT_ESTIMATOR_K DEFAULT_NORMAL_K ErrorKind PeakKind PeakSpec ResolutionEstimator",
     "cloud": "PointCloud infer_bit_depth precision_peak",
     "degrade": "gaussian_jitter octree_quantize",
-    "evaluation": "CorrelationReport StimulusRecord fit_regression plcc predict_mos read_manifest "
-                  "run_benchmark score_pair srocc write_report_csv write_report_json",
+    "evaluation": "CorrelationReport CubicFit StimulusRecord fit_regression plcc predict_mos "
+                  "read_manifest run_benchmark score_pair srocc write_report_csv write_report_json",
     "metrics": "MetricResult ZeroPeakError ann ann_k apd_k density_coefficient directional_mse "
                "largest_diagonal mnn planar_distance planar_offset psnr ra_psnr resolution",
     "neighbors": "NeighborIndex",

@@ -192,14 +192,8 @@ def cmd_benchmark(args) -> int:
     except FileExistsError:  # a file of that name
         raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), args.out) from None
 
-    reports = run_benchmark(
-        manifest,
-        variants,
-        pooling=pooling,
-        normal_k=args.normal_k,
-        bit_depth=args.bitdepth,
-        quartic=args.quartic,
-    )
+    reports = run_benchmark(manifest, variants, pooling=pooling, normal_k=args.normal_k,
+                            bit_depth=args.bitdepth)
     if not reports:
         raise ValueError("no group could be fitted; nothing to report")
 
@@ -211,7 +205,6 @@ def cmd_benchmark(args) -> int:
         "pooling": pooling,
         "normal_k": args.normal_k,
         "bit_depth": args.bitdepth,
-        "quartic": args.quartic,
         "stimuli": len(manifest),
     }
     write_report_csv(reports, csv_path)
@@ -291,8 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bitdepth", type=int,
                    help="bit depth of every reference (default: inferred where a variant needs it)")
     p.add_argument("--pooling", choices=sorted(POOLING_FLAGS), default="paper-max")
-    p.add_argument("--quartic", action="store_true",
-                   help="fit the alternate x**4 regression instead of the cubic")
     p.add_argument("--format", choices=("human", "jsonl"), default="human")
     p.add_argument("--out", required=True, help="directory for report.csv / report.json")
     p.set_defaults(func=cmd_benchmark)

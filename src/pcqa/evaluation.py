@@ -1,9 +1,11 @@
 """Subjective-correlation benchmark harness.
 
 Scores reference/degraded cloud pairs with a set of metric variants, maps
-the objective scores onto the MOS scale with a least-squares cubic, and
-reports Pearson (PLCC) and Spearman (SROCC) correlation of predicted versus
-actual MOS, per stimulus group and pooled over all groups.
+the objective scores onto the MOS scale with a least-squares cubic (the
+third-order form of ITU-T P.1401) in the objective centred and scaled to
+[-1, 1] per group, and reports Pearson (PLCC) and Spearman (SROCC)
+correlation of predicted versus actual MOS, per stimulus group and pooled
+over all groups.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import json
 import os
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,6 +52,18 @@ class StimulusRecord:
             )
 
 
+class CubicFit(NamedTuple):
+    """MOS = b1 + b2*t + b3*t**2 + b4*t**3 in t = (x - center) / scale; the
+    defaults make t the raw objective x."""
+
+    b1: float
+    b2: float
+    b3: float
+    b4: float
+    center: float = 0.0
+    scale: float = 1.0
+
+
 @dataclass(frozen=True)
 class CorrelationReport:
     """Fit and correlation of one metric variant on one stimulus group."""
@@ -57,7 +72,7 @@ class CorrelationReport:
     error_kind: ErrorKind
     peak: PeakSpec
     n: int
-    coefficients: tuple[float, float, float, float]
+    coefficients: CubicFit  # the fit of MOS onto the objective, with its basis
     stimulus_ids: tuple[str, ...]
     objective: tuple[float, ...]
     mos: tuple[float, ...]
@@ -68,6 +83,8 @@ class CorrelationReport:
     excluded_infinite: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.coefficients, CubicFit):
+            raise TypeError("coefficients must be a CubicFit, which carries the fit's basis")
         if len(self.predicted_mos) != self.n or len(self.stimulus_ids) != self.n:
             raise ValueError("per-stimulus vectors must have length n")
         if abs(self.plcc) > 1.0 or abs(self.srocc) > 1.0:
@@ -81,7 +98,9 @@ class CorrelationReport:
             "k": self.peak.k,
             "n": self.n,
             "excluded_infinite": self.excluded_infinite,
-            "coefficients": list(self.coefficients),
+            "coefficients": list(self.coefficients[:4]),
+            "center": self.coefficients.center,
+            "scale": self.coefficients.scale,
             "plcc": self.plcc,
             "srocc": self.srocc,
             "monotone_fit": self.monotone_fit,
@@ -92,23 +111,16 @@ class CorrelationReport:
         }
 
 
-def _fit_powers(quartic: bool) -> tuple[int, ...]:
-    # the quartic form swaps the cubic term for x**4 (kept for comparison)
-    return (0, 1, 2, 4) if quartic else (0, 1, 2, 3)
+def _design_matrix(t: np.ndarray) -> np.ndarray:
+    return np.vander(t, 4, increasing=True)
 
 
-def _design_matrix(x: np.ndarray, quartic: bool) -> np.ndarray:
-    return np.column_stack([x**p for p in _fit_powers(quartic)])
-
-
-def fit_regression(objective, mos, *, quartic: bool = False) -> np.ndarray:
-    """Least-squares fit of MOS = b1 + b2*x + b3*x**2 + b4*x**3.
-
-    Returns the four coefficients.  ``quartic=True`` replaces the cubic
-    term with x**4 (an alternate printed form, kept for investigation).
-    Raises on fewer than 5 samples, non-finite objective values, or a
-    rank-deficient design (e.g. all objective values equal).
-    """
+def fit_regression(objective, mos) -> CubicFit:
+    """Least-squares cubic of MOS in t = (x - c) / s, where c and s are the
+    midpoint and half-range of the objectives x: the design [1, t, t**2, t**3]
+    stays well conditioned, where the raw powers of dB values reach a condition
+    number of 2e9.  Raises on fewer than 5 samples, non-finite values, or a
+    rank-deficient design (e.g. all objective values equal)."""
     x = np.asarray(objective, dtype=np.float64)
     y = np.asarray(mos, dtype=np.float64)
     if x.ndim != 1 or x.shape != y.shape:
@@ -117,34 +129,33 @@ def fit_regression(objective, mos, *, quartic: bool = False) -> np.ndarray:
         raise ValueError(f"need at least {MIN_GROUP_SIZE} samples for a 4-parameter fit, got {len(x)}")
     if not np.isfinite(x).all():
         raise ValueError("objective values must be finite (exclude infinite-quality stimuli)")
-    design = _design_matrix(x, quartic)
+    if not np.isfinite(y).all():
+        raise ValueError("mos values must be finite")
+    lo, hi = float(x.min()), float(x.max())
+    # equal objectives keep scale 1, and their design fails the rank check below
+    center, scale = (lo + hi) / 2.0, (hi - lo) / 2.0 or 1.0
+    design = _design_matrix((x - center) / scale)
     beta, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
     if rank < design.shape[1]:
         raise ValueError("rank-deficient design: objective values do not span a 4-parameter fit")
-    return beta
+    return CubicFit(*map(float, beta), center=center, scale=scale)
 
 
-def predict_mos(coefficients, objective, *, quartic: bool = False) -> np.ndarray:
+def predict_mos(fit: CubicFit, objective) -> np.ndarray:
     """Evaluate a fitted regression at the given objective values."""
     x = np.asarray(objective, dtype=np.float64)
-    beta = np.asarray(coefficients, dtype=np.float64)
-    return _design_matrix(x, quartic) @ beta
+    return _design_matrix((x - fit.center) / fit.scale) @ np.asarray(fit[:4])
 
 
-def fit_is_monotone(coefficients, lo: float, hi: float, *, quartic: bool = False) -> bool:
+def fit_is_monotone(fit: CubicFit, lo: float, hi: float) -> bool:
     """Whether the fitted polynomial is monotone over [lo, hi].
 
-    The derivative's real roots split the interval into segments of constant
-    sign; the fit is monotone when every segment midpoint agrees in sign.
+    [lo, hi] is mapped into t, where the derivative's real roots split it into
+    segments of constant sign; the fit is monotone when every segment
+    midpoint agrees in sign.
     """
-    if lo > hi:
-        lo, hi = hi, lo
-    beta = np.asarray(coefficients, dtype=np.float64)
-    powers = _fit_powers(quartic)
-    coeffs = np.zeros(max(powers) + 1)
-    for b, p in zip(beta, powers):
-        coeffs[p] = b
-    deriv = np.polynomial.polynomial.polyder(coeffs)
+    lo, hi = sorted(((lo - fit.center) / fit.scale, (hi - fit.center) / fit.scale))
+    deriv = np.polynomial.polynomial.polyder(fit[:4])
     breaks = [lo, hi]
     if np.any(deriv[1:] != 0.0):
         roots = np.polynomial.polynomial.polyroots(deriv)
@@ -154,8 +165,7 @@ def fit_is_monotone(coefficients, lo: float, hi: float, *, quartic: bool = False
     breaks.sort()
     probes = np.array([(a + b) / 2.0 for a, b in zip(breaks, breaks[1:])] or [lo])
     values = np.polynomial.polynomial.polyval(probes, deriv)
-    scale = max(1.0, float(np.abs(values).max()))
-    tol = 1e-12 * scale
+    tol = 1e-12 * max(1.0, float(np.abs(values).max()))
     return bool(np.all(values >= -tol) or np.all(values <= tol))
 
 
@@ -351,7 +361,6 @@ def run_benchmark(
     pooling: str = "max",
     normal_k: int = DEFAULT_NORMAL_K,
     bit_depth: int | None = None,
-    quartic: bool = False,
 ) -> list[CorrelationReport]:
     """Score every stimulus once per variant, then correlate per group.
 
@@ -382,8 +391,8 @@ def run_benchmark(
             x = objective_all[finite]
             y = mos_all[finite]
             try:
-                beta = fit_regression(x, y, quartic=quartic)
-                predicted = predict_mos(beta, x, quartic=quartic)
+                fit = fit_regression(x, y)
+                predicted = predict_mos(fit, x)
                 pearson, spearman = plcc(predicted, y), srocc(predicted, y)
             except ValueError as exc:
                 warnings.warn(f"group {group!r}: {variant_to_string((kind, peak))}: {exc}; skipping",
@@ -395,14 +404,14 @@ def run_benchmark(
                     error_kind=kind,
                     peak=peak,
                     n=int(finite.sum()),
-                    coefficients=tuple(float(b) for b in beta),
+                    coefficients=fit,
                     stimulus_ids=tuple(ids_all[finite]),
                     objective=tuple(float(v) for v in x),
                     mos=tuple(float(v) for v in y),
                     predicted_mos=tuple(float(v) for v in predicted),
                     plcc=pearson,
                     srocc=spearman,
-                    monotone_fit=fit_is_monotone(beta, float(x.min()), float(x.max()), quartic=quartic),
+                    monotone_fit=fit_is_monotone(fit, float(x.min()), float(x.max())),
                     excluded_infinite=excluded,
                 )
             )
@@ -480,7 +489,7 @@ def write_report_csv(reports: list[CorrelationReport], path) -> None:
         writer = csv.writer(fh)
         writer.writerow(
             ["group", "error_kind", "peak_spec", "k", "n", "plcc", "srocc", "monotone_fit",
-             "beta1", "beta2", "beta3", "beta4"]
+             "beta1", "beta2", "beta3", "beta4", "center", "scale"]
         )
         for r in reports:
             writer.writerow(

@@ -231,7 +231,7 @@ def test_benchmark_end_to_end(tmp_path, manifest):
     csv_text = (out_dir / "report.csv").read_text()
     header, *rows = csv_text.splitlines()
     assert header == ("group,error_kind,peak_spec,k,n,plcc,srocc,monotone_fit,"
-                      "beta1,beta2,beta3,beta4")
+                      "beta1,beta2,beta3,beta4,center,scale")
     assert len(rows) == 4  # 2 variants x (noise, All)
     payload = json.loads((out_dir / "report.json").read_text())
     assert payload["config"]["stimuli"] == 5
@@ -263,6 +263,13 @@ def test_benchmark_empty_metric_is_usage_error(tmp_path, manifest):
     proc = run_cli("benchmark", "--manifest", manifest, "--metric", "", "--out", tmp_path / "r")
     assert proc.returncode == 2
     assert "error[usage]" in proc.stderr
+
+
+def test_benchmark_has_one_fit_and_no_quartic_flag(tmp_path, manifest):
+    proc = run_cli("benchmark", "--manifest", manifest, "--quartic", "--out", tmp_path / "r")
+    assert proc.returncode == 2
+    assert "unrecognized arguments: --quartic" in proc.stderr
+    assert not (tmp_path / "r").exists()
 
 
 def test_benchmark_missing_stimulus_file_names_it(tmp_path, manifest):

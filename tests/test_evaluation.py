@@ -7,6 +7,7 @@ import pytest
 
 from pcqa import (
     CorrelationReport,
+    CubicFit,
     ErrorKind,
     PeakSpec,
     PointCloud,
@@ -39,11 +40,13 @@ from shapes import random_voxel_cloud
 
 def test_cubic_fit_recovers_exact_coefficients():
     x = np.linspace(30.0, 70.0, 25)
-    beta_true = (1.2, -0.05, 0.002, 1e-5)
-    y = predict_mos(beta_true, x)
-    beta = fit_regression(x, y)
-    np.testing.assert_allclose(beta, beta_true, rtol=1e-6)
-    np.testing.assert_allclose(predict_mos(beta, x), y, atol=1e-8)
+    truth = CubicFit(1.2, -0.05, 0.002, 1e-5)  # raw powers of x
+    y = predict_mos(truth, x)
+    fit = fit_regression(x, y)
+    # the fit's own coefficients are in its scaled basis, so compare the curves
+    probe = np.linspace(25.0, 75.0, 101)
+    np.testing.assert_allclose(predict_mos(fit, probe), predict_mos(truth, probe), rtol=1e-6)
+    np.testing.assert_allclose(predict_mos(fit, x), y, atol=1e-8)
 
 
 def test_linear_data_fits_with_vanishing_high_order_terms():
@@ -54,12 +57,22 @@ def test_linear_data_fits_with_vanishing_high_order_terms():
     assert plcc(predict_mos(beta, x), y) == 1.0
 
 
-def test_quartic_switch_fits_the_alternate_basis():
-    x = np.linspace(1.0, 3.0, 20)
-    y = 0.5 + 0.1 * x - 0.02 * x**2 + 0.004 * x**4
-    beta = fit_regression(x, y, quartic=True)
-    np.testing.assert_allclose(beta, [0.5, 0.1, -0.02, 0.004], atol=1e-9)
-    np.testing.assert_allclose(predict_mos(beta, x, quartic=True), y, atol=1e-10)
+def test_fit_basis_is_the_midpoint_and_half_range_of_the_objectives():
+    fit = fit_regression([31.0, 35.0, 38.0, 47.0, 40.0, 33.0], np.arange(6.0))
+    assert (fit.center, fit.scale) == (39.0, 8.0)
+
+
+def test_last_bits_of_the_objectives_stay_in_the_last_bits_of_the_prediction():
+    # shaped like one group of the study: 5 severities x 4 contents, dB scores
+    mos = np.tile(4.6 - 0.8 * np.arange(5), 4)
+    x = 30.0 + 6.0 * mos + np.random.default_rng(7).normal(0.0, 1.5, mos.size)
+    baseline = predict_mos(fit_regression(x, mos), x)
+    for ulps in (1, 5, 35):
+        moved = x
+        for _ in range(ulps):
+            moved = np.nextafter(moved, np.inf)
+        predicted = predict_mos(fit_regression(moved, mos), moved)
+        np.testing.assert_allclose(predicted, baseline, rtol=1e-12, atol=0.0, err_msg=f"{ulps} ulps")
 
 
 def test_fit_input_validation():
@@ -69,20 +82,27 @@ def test_fit_input_validation():
         fit_regression(np.full(8, 2.0), np.arange(8.0))
     with pytest.raises(ValueError, match="finite"):
         fit_regression([1.0, 2.0, 3.0, 4.0, math.inf], np.arange(5.0))
+    with pytest.raises(ValueError, match="mos values must be finite"):
+        fit_regression(np.arange(6.0), [1.0, 2.0, math.nan, 4.0, 5.0, 3.0])
     with pytest.raises(ValueError, match="equal length"):
         fit_regression(np.arange(6.0), np.arange(5.0))
 
 
 def test_monotone_detection():
-    up = (0.0, 1.0, 0.0, 0.0)
+    up = CubicFit(0.0, 1.0, 0.0, 0.0)
     assert fit_is_monotone(up, 0.0, 10.0)
-    humped = (0.0, 0.0, 1.0, -0.1)  # derivative 2x - 0.3x^2 changes sign at ~6.7
+    humped = CubicFit(0.0, 0.0, 1.0, -0.1)  # derivative 2x - 0.3x^2 changes sign at ~6.7
     assert not fit_is_monotone(humped, 0.0, 10.0)
     assert fit_is_monotone(humped, 0.0, 5.0)  # extremum outside the range
-    flat = (3.0, 0.0, 0.0, 0.0)
+    flat = CubicFit(3.0, 0.0, 0.0, 0.0)
     assert fit_is_monotone(flat, 0.0, 1.0)
-    down = (5.0, -0.5, 0.0, 0.0)
+    down = CubicFit(5.0, -0.5, 0.0, 0.0)
     assert fit_is_monotone(down, -3.0, 3.0)
+    # the same hump in t = (x - 10) / 2: extrema at x = 10 and x = 10 + 2 * 6.7
+    shifted = CubicFit(0.0, 0.0, 1.0, -0.1, center=10.0, scale=2.0)
+    assert fit_is_monotone(shifted, 10.0, 20.0)
+    assert not fit_is_monotone(shifted, 12.0, 30.0)
+    assert not fit_is_monotone(shifted, 5.0, 15.0)
 
 
 # ------------------------------------------------------- correlation measures
@@ -474,7 +494,7 @@ def test_report_files(tmp_path, ladder):
     with open(csv_path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["group", "error_kind", "peak_spec", "k", "n", "plcc", "srocc",
-                       "monotone_fit", "beta1", "beta2", "beta3", "beta4"]
+                       "monotone_fit", "beta1", "beta2", "beta3", "beta4", "center", "scale"]
     assert len(rows) == 1 + len(reports)
     assert rows[1][1] == "po2pl" and rows[1][2] == "ra-apdk" and rows[1][3] == "10"
     for cell in rows[1][5:7]:
@@ -488,7 +508,7 @@ def test_report_files(tmp_path, ladder):
 def test_csv_uses_six_significant_digits(tmp_path):
     report = CorrelationReport(
         group="g", error_kind=ErrorKind.PO2PO, peak=PeakSpec.precision(), n=5,
-        coefficients=(1.2345678, -0.000123456789, 3.0, 4.0),
+        coefficients=CubicFit(1.2345678, -0.000123456789, 3.0, 4.0),
         stimulus_ids=("a", "b", "c", "d", "e"),
         objective=(1.0, 2.0, 3.0, 4.0, 5.0),
         mos=(1.0, 2.0, 3.0, 4.0, 5.0),
@@ -506,6 +526,12 @@ def test_correlation_report_validates_shapes():
     with pytest.raises(ValueError, match="length n"):
         CorrelationReport(
             group="g", error_kind=ErrorKind.PO2PO, peak=PeakSpec.precision(), n=3,
+            coefficients=CubicFit(0.0, 1.0, 0.0, 0.0), stimulus_ids=("a",), objective=(1.0,),
+            mos=(1.0,), predicted_mos=(1.0,), plcc=0.5, srocc=0.5, monotone_fit=True,
+        )
+    with pytest.raises(TypeError, match="CubicFit"):  # a bare tuple would drop center and scale
+        CorrelationReport(
+            group="g", error_kind=ErrorKind.PO2PO, peak=PeakSpec.precision(), n=1,
             coefficients=(0.0, 1.0, 0.0, 0.0), stimulus_ids=("a",), objective=(1.0,),
             mos=(1.0,), predicted_mos=(1.0,), plcc=0.5, srocc=0.5, monotone_fit=True,
         )
