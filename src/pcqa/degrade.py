@@ -19,8 +19,8 @@ def gaussian_jitter(cloud: PointCloud, sigma: float, seed: int) -> PointCloud:
     Normals are dropped (they no longer describe the jittered surface) and
     so is the bit depth (coordinates leave the integer grid).
     """
-    if sigma <= 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    if not 0.0 < sigma < np.inf:  # nan too
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
     if len(cloud) == 0:
         raise ValueError("cannot degrade an empty cloud")
     rng = np.random.default_rng(seed)

@@ -85,7 +85,8 @@ class CorrelationReport:
     def __post_init__(self):
         if not isinstance(self.coefficients, CubicFit):
             raise TypeError("coefficients must be a CubicFit, which carries the fit's basis")
-        if len(self.predicted_mos) != self.n or len(self.stimulus_ids) != self.n:
+        vectors = (self.stimulus_ids, self.objective, self.mos, self.predicted_mos)
+        if any(len(vector) != self.n for vector in vectors):
             raise ValueError("per-stimulus vectors must have length n")
         if abs(self.plcc) > 1.0 or abs(self.srocc) > 1.0:
             raise ValueError("correlation coefficients must lie in [-1, 1]")
@@ -275,15 +276,16 @@ def read_manifest(path) -> list[StimulusRecord]:
                 raise ValueError(
                     f"manifest {path} line {reader.line_num}: MOS {row['mos']!r} is not a number"
                 ) from None
-            records.append(
-                StimulusRecord(
+            try:  # StimulusRecord states the MOS range
+                records.append(StimulusRecord(
                     stimulus_id=sid,
                     group=group,
                     reference=os.path.join(base, row["reference"].strip()),
                     degraded=os.path.join(base, row["degraded"].strip()),
                     mos=mos,
-                )
-            )
+                ))
+            except ValueError as exc:
+                raise ValueError(f"manifest {path} line {reader.line_num}: {exc}") from None
     if not records:
         raise ValueError(f"manifest {path} contains no stimuli")
     return records

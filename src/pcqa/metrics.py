@@ -176,46 +176,41 @@ class PreparedCloud:
         normals when ``normals`` is set or an APD_k needs them.  Normals and
         each APD_k take the pass at their own k, the normals' first.  Every
         distance-only value rides on the widest pass, which is added at the
-        widest distance-only width when no pass is that wide."""
+        widest distance-only width when no pass is that wide.  Each value is
+        sqrt(reduce(row sums) / width): the maximum for MNN, else ``_mean``."""
         values = self._state.values
         todo = [key for key in dict.fromkeys(wanted) if self._value_key(*key) not in values]
         apd = {k for estimator, k in todo if estimator is ResolutionEstimator.APD_K}
         estimate = self._normals is None and (normals or bool(apd))
-        width_of = {key: key[1] or 1 for key in todo if key[0] is not ResolutionEstimator.APD_K}
-        widths = set(width_of.values())
+        widths = {k or 1 for estimator, k in todo if estimator is not ResolutionEstimator.APD_K}
         passes = apd | ({self.normal_k} if estimate else set())
         widest = max(passes | widths, default=0)
-        if widths:
-            passes.add(widest)
+        passes |= {widest} if widths else set()
 
+        sums = {}
         for k in sorted(passes, key=lambda k: (k != self.normal_k, -k)):
             with_normals = estimate and k == self.normal_k
-            normals_, _, apd_sums, nearest, sums = self._stream(
+            normals_, _, pass_sums = self._stream(
                 k, normals=with_normals, apd=k in apd, widths=widths if k == widest else ())
             if with_normals:
                 normals_.setflags(write=False)  # shared by every later call on this cloud
                 self._state.normals[self.normal_k] = normals_
-            if k in apd:
-                values[self._value_key(ResolutionEstimator.APD_K, k)] = math.sqrt(_mean(apd_sums) / k)
-            if k != widest:
-                continue
-            for key, width in width_of.items():  # ANN is ANN_k at k=1
-                if key[0] is ResolutionEstimator.MNN:
-                    values[self._value_key(*key)] = float(nearest.max())
-                else:
-                    values[self._value_key(*key)] = math.sqrt(_mean(sums[width]) / width)
+            sums.update(pass_sums)
+        for estimator, k in todo:  # ANN is ANN_k at k=1; max(d**2) is max(d)**2, d >= 0
+            reduce, width = np.max if estimator is ResolutionEstimator.MNN else _mean, k or 1
+            values[self._value_key(estimator, k)] = math.sqrt(
+                reduce(sums[estimator is ResolutionEstimator.APD_K, width]) / width)
 
     def _stream(self, k: int, rows: np.ndarray | None = None, *, normals: bool = False,
                 apd: bool = False, widths=()) -> tuple:
         """One pass at ``k`` over ``rows`` (an index array, default every
         point) in blocks of ``BLOCK_ROWS``.  Each block gets one
         self-excluded k-nearest-neighbor query, from which its normals and
-        degenerate mask (if ``normals``), its APD_k row sums (if ``apd``),
-        its nearest distances (if ``widths``) and, for each width w in
-        ``widths``, its row sums of squared distances to the w nearest are
-        written into per-row arrays.  Returns (normals, degenerate, APD_k
-        sums, nearest, {w: sums}), None where not asked for; no (rows, k)
-        array outlives its block.  One warning counts the degenerate rows."""
+        degenerate mask (if ``normals``) and its row sums of squared distances
+        are written into per-row arrays: ``sums[True, k]`` holds APD_k's
+        tangent-plane ones (if ``apd``), ``sums[False, w]`` those to the w
+        nearest, for each w in ``widths``.  Returns (normals, degenerate, sums), None where not
+        asked for; no (rows, k) array outlives its block.  One warning counts the degenerate rows."""
         if normals:
             require_normal_k(k)
         index, points = self.index, self.cloud.points  # the index rejects an empty cloud
@@ -223,9 +218,7 @@ class PreparedCloud:
         n = len(rows)
         out_normals = np.empty((n, 3)) if normals else None
         degenerate = np.empty(n, dtype=bool) if normals else None
-        apd_sums = np.empty(n) if apd else None
-        nearest = np.empty(n) if widths else None
-        sums = {w: np.empty(n) for w in widths}
+        sums = {(False, w): np.empty(n) for w in widths} | ({(True, k): np.empty(n)} if apd else {})
         for start in range(0, n, BLOCK_ROWS):
             block = slice(start, start + BLOCK_ROWS)
             centers = rows[block]
@@ -237,15 +230,13 @@ class PreparedCloud:
                 offsets = points[idx] - points[centers, None, :]  # (B, k, 3)
                 # elementwise: einsum may sum in another order for a one-row block
                 along = sum(offsets[:, :, j] * center_normals[:, j, None] for j in range(3))
-                apd_sums[block] = np.maximum(dists**2 - along * along, 0.0).sum(axis=1)
-            if widths:
-                nearest[block] = dists[:, 0]
-            for w, row_sums in sums.items():
-                row_sums[block] = (dists[:, :w] ** 2).sum(axis=1)
+                sums[True, k][block] = np.maximum(dists**2 - along * along, 0.0).sum(axis=1)
+            for w in widths:
+                sums[False, w][block] = (dists[:, :w] ** 2).sum(axis=1)
         if normals and degenerate.any():
             warnings.warn(f"{int(degenerate.sum())} of {n} points have degenerate (coincident) "
                           "neighborhoods; their normals were set to (0, 0, 1)", RuntimeWarning, stacklevel=2)
-        return out_normals, degenerate, apd_sums, nearest, sums
+        return out_normals, degenerate, sums
 
     def nearest(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """For every query point: (squared distance to, index of) its nearest

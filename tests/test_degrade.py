@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,9 @@ def test_jitter_rejects_nonpositive_sigma():
         gaussian_jitter(cloud, 0.0, seed=1)
     with pytest.raises(ValueError, match="sigma"):
         gaussian_jitter(cloud, -0.5, seed=1)
+    for sigma in (math.nan, math.inf):  # not the cloud's "coordinates must be finite"
+        with pytest.raises(ValueError, match=f"sigma must be positive and finite, got {sigma}"):
+            gaussian_jitter(cloud, sigma, seed=1)
 
 
 def test_jitter_is_deterministic_per_seed():

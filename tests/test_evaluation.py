@@ -258,6 +258,9 @@ def test_read_manifest_accepts_extra_columns(tmp_path):
         # a column named twice would be read from whichever copy comes last
         (["s1,g,a.ply,b.ply,2,4"], "stimulus_id,group,reference,degraded,mos,mos",
          "line 1: column 'mos' appears twice"),
+        # StimulusRecord states the range; the manifest names the line
+        (["s1,g,a.ply,b.ply,2", "s2,g,a.ply,c.ply,7"], None,
+         r"manifest \S+m\.csv line 3: stimulus 's2': MOS 7\.0 outside"),
     ],
 )
 def test_read_manifest_rejects_bad_rows(tmp_path, rows, header, match):
@@ -529,6 +532,13 @@ def test_correlation_report_validates_shapes():
             coefficients=CubicFit(0.0, 1.0, 0.0, 0.0), stimulus_ids=("a",), objective=(1.0,),
             mos=(1.0,), predicted_mos=(1.0,), plcc=0.5, srocc=0.5, monotone_fit=True,
         )
+    for objective, mos in [((1.0,), (1.0, 2.0)), ((1.0, 2.0), (1.0, 2.0, 3.0))]:  # n=2
+        with pytest.raises(ValueError, match="length n"):
+            CorrelationReport(
+                group="g", error_kind=ErrorKind.PO2PO, peak=PeakSpec.precision(), n=2,
+                coefficients=CubicFit(0.0, 1.0, 0.0, 0.0), stimulus_ids=("a", "b"), objective=objective,
+                mos=mos, predicted_mos=(1.0, 2.0), plcc=0.5, srocc=0.5, monotone_fit=True,
+            )
     with pytest.raises(TypeError, match="CubicFit"):  # a bare tuple would drop center and scale
         CorrelationReport(
             group="g", error_kind=ErrorKind.PO2PO, peak=PeakSpec.precision(), n=1,

@@ -6,15 +6,18 @@ command applies the ``--bitdepth`` rule in one call that no flag guards,
 every mean over points in ``metrics`` is taken by ``_mean``, the
 benchmark's group-size rule is read by ``fit_regression`` only, and the
 unit-normal tolerance, a bit depth's coercion and a variant's spelling are
-each stated once."""
+each stated once.  Every resolution value is written by one statement, and
+every pcqa name that the benchmark scripts read exists."""
 
 import ast
+import importlib
 from collections import Counter
 from pathlib import Path
 
 import pcqa
 
 MODULES = sorted(Path(pcqa.__file__).parent.glob("*.py"))
+BENCH_SCRIPTS = sorted((Path(__file__).resolve().parent.parent / "bench").glob("*.py"))
 
 
 def _is_private(name: str) -> bool:
@@ -206,3 +209,28 @@ def test_value_rules_have_one_statement():
     assert coercions == [("cloud.py", "_check_bit_depth")]
     assert sorted(set(_calls("variant_to_string"))) == [("cli.py", "cmd_benchmark"),
                                                         ("evaluation.py", "run_benchmark")]
+
+
+def test_every_resolution_value_is_written_by_one_statement():
+    # _fill reads every estimator as sqrt(reduce(row sums) / width), MNN included
+    path = Path(pcqa.__file__).parent / "metrics.py"
+    writes = [node.lineno for node, scope in _scoped_nodes(path)
+              if scope == "PreparedCloud._fill" and isinstance(node, ast.Assign)
+              and any(isinstance(t, ast.Subscript) and _name(t.value) == "values" for t in node.targets)]
+    assert len(writes) == 1
+
+
+def test_every_pcqa_name_the_benchmark_reads_exists():
+    # the benchmark scripts are parsed, not imported: a rename in pcqa shows
+    # here rather than as a crashed benchmark run
+    assert BENCH_SCRIPTS
+    missing = []
+    for path in BENCH_SCRIPTS:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module.split(".")[0] == "pcqa":
+                module = importlib.import_module(node.module)
+                missing += [f"{path.name}:{node.lineno} {node.module}.{alias.name}"
+                            for alias in node.names if not hasattr(module, alias.name)]
+    assert missing == []
+    # bench/counting.wrap_normals patches the kernel through its module attribute
+    assert callable(importlib.import_module("pcqa.normals").normal_vectors)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 import oracles
 from pcqa import (
@@ -18,6 +19,7 @@ from pcqa import (
     density_coefficient,
     directional_mse,
     estimate_normals,
+    gaussian_jitter,
     largest_diagonal,
     mnn,
     planar_distance,
@@ -33,6 +35,7 @@ from shapes import (
     planar_interior_mask,
     random_cloud,
     random_voxel_cloud,
+    voxelized_sphere,
 )
 
 # ---------------------------------------------------------------- error terms
@@ -131,6 +134,18 @@ def test_mnn_dominated_by_isolated_point():
     lonely = np.vstack([grid.points, [[10.0, 0.0, 0.0]]])  # 7 units past the corner
     assert mnn(PointCloud(lonely)) == 7.0
     assert ann(PointCloud(lonely)) < 7.0
+
+
+def test_mnn_is_the_largest_nearest_distance_bit_for_bit():
+    # MNN is read as sqrt of the largest squared nearest distance; in binary64
+    # sqrt(fl(d * d)) == d unless d * d underflows, so no bit may move: on a
+    # duplicate-free voxel shell (ties everywhere), a jittered copy, and that
+    # copy scaled by 2**-490, just above the underflow bound 2**-511
+    shell = voxelized_sphere()
+    jittered = gaussian_jitter(shell, 0.3, seed=5)
+    for cloud in (shell, jittered, PointCloud(jittered.points * 2.0**-490)):
+        want = cKDTree(cloud.points).query(cloud.points, k=2)[0][:, 1].max()
+        assert mnn(cloud) == want
 
 
 def test_estimators_match_brute_force(rng):
