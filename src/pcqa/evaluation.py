@@ -183,9 +183,6 @@ def _correlation_samples(x, y, name: str) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-_NEARLY_CONSTANT = float(np.sqrt(np.finfo(np.float64).eps))
-
-
 def plcc(x, y) -> float:
     """Pearson linear correlation coefficient."""
     x, y = _correlation_samples(x, y, "correlation")
@@ -195,18 +192,8 @@ def plcc(x, y) -> float:
 
 def _unit_deviations(v: np.ndarray) -> np.ndarray:
     """``v`` minus its mean, scaled to unit Euclidean norm with the same
-    rounding as ``scipy.stats.pearsonr`` (max-abs prescaling of the norm).
-
-    Where the deviations span less than sqrt(eps) of the mean, the mean's
-    rounding is not small against them (``[1, 1, 1 + 2**-52]`` centres to
-    ``[0, 0, 2**-52]``), so they are centred once more.  ``v - mean`` is
-    exact there (Sterbenz), so the second pass removes a shift common to
-    all of them.  Other inputs keep scipy's bits.
-    """
-    mean = v.mean()
-    d = v - mean
-    if np.abs(d).max() < _NEARLY_CONSTANT * abs(mean):
-        d = d - d.mean()
+    rounding as ``scipy.stats.pearsonr`` (max-abs prescaling of the norm)."""
+    d = v - v.mean()
     peak = np.abs(d).max()
     s = d / peak
     return d / (peak * np.sqrt(np.sum(s * s)))

@@ -203,14 +203,14 @@ class PreparedCloud:
 
     def _stream(self, k: int, rows: np.ndarray | None = None, *, normals: bool = False,
                 apd: bool = False, widths=()) -> tuple:
-        """One pass at ``k`` over ``rows`` (an index array, default every
-        point) in blocks of ``BLOCK_ROWS``.  Each block gets one
-        self-excluded k-nearest-neighbor query, from which its normals and
-        degenerate mask (if ``normals``) and its row sums of squared distances
-        are written into per-row arrays: ``sums[True, k]`` holds APD_k's
-        tangent-plane ones (if ``apd``), ``sums[False, w]`` those to the w
-        nearest, for each w in ``widths``.  Returns (normals, degenerate, sums), None where not
-        asked for; no (rows, k) array outlives its block.  One warning counts the degenerate rows."""
+        """One pass at ``k`` over ``rows`` (an index array, default all points)
+        in blocks of ``BLOCK_ROWS``; each block's self-excluded k-NN query
+        fills per-row arrays: normals and degenerate mask (if ``normals``),
+        APD_k's tangent-plane row sums in ``sums[True, k]`` (if ``apd``), and
+        sums of squared distances to the w nearest in ``sums[False, w]`` for
+        each w in ``widths``.  Returns (normals, degenerate, sums): the first
+        two are None where not asked for, and sums is empty.  No (rows, k)
+        array outlives its block; one warning counts the degenerate rows."""
         if normals:
             require_normal_k(k)
         index, points = self.index, self.cloud.points  # the index rejects an empty cloud

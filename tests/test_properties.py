@@ -3,11 +3,10 @@
 import json
 import math
 import warnings
-from fractions import Fraction
 
 import numpy as np
 import scipy.spatial
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from pcqa import (
     ErrorKind,
@@ -154,31 +153,13 @@ def test_rank_correlation_is_exactly_one_under_monotone_maps(x, name):
     st.floats(1e-3, 1e3),
     st.floats(-1e4, 1e4),
 )
-# nearly constant after the map: centring once leaves a shift as large as the spread
-@example(x=[0.0, 0.0, 1.0], y=[0.0, 0.0, 1e-12], a=0.0625, b=1.0)
-@example(x=[0.0, 0.0, 1.0], y=[0.0, 0.0, 1e-9], a=0.00390625, b=43.0)
-@example(x=[0.0, 0.0, 1.0], y=[0.0, 0.0, 2.0**-52], a=1.0, b=1.0)
 def test_linear_correlation_is_affine_invariant(x, y, a, b):
     n = min(len(x), len(y))
     x, y = x[:n], y[:n]
     assume(max(x) > min(x) and max(y) > min(y))
     scaled = [a * v + b for v in y]
     assume(max(scaled) > min(scaled))
-    # a * v + b rounds each value; keep the maps whose rounding left the exact
-    # correlation in place, as no arithmetic in plcc can undo the rounding
-    exact = _exact_correlation(x, y)
-    assume(math.isclose(_exact_correlation(x, scaled), exact, rel_tol=1e-8, abs_tol=1e-11))
     np.testing.assert_allclose(plcc(x, scaled), plcc(x, y), rtol=1e-6, atol=1e-9)
-
-
-def _exact_correlation(x, y) -> float:
-    """Pearson correlation of the float inputs in rational arithmetic."""
-    x, y = [Fraction(v) for v in x], [Fraction(v) for v in y]
-    mx, my = sum(x) / len(x), sum(y) / len(y)
-    dx, dy = [v - mx for v in x], [v - my for v in y]
-    sxy = sum(p * q for p, q in zip(dx, dy))
-    r2 = sxy * sxy / (sum(p * p for p in dx) * sum(q * q for q in dy))
-    return math.copysign(math.sqrt(float(r2)), sxy)
 
 
 # ------------------------------------------------------------- serialization
