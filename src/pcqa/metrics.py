@@ -31,7 +31,7 @@ from .spec import (
     require_normal_k,
 )
 
-BLOCK_ROWS = 16384  # rows per block in every per-point loop, which bounds their temporaries
+BLOCK_ROWS = 4096  # rows per block in every per-point loop, which bounds their temporaries
 
 
 class ZeroPeakError(ValueError):
@@ -314,6 +314,7 @@ def nn_squared_errors(a: PointCloud, b: PointCloud) -> tuple[np.ndarray, np.ndar
 def _mean_squared_errors(a: PointCloud, b: PreparedCloud, po2pl: bool) -> dict[ErrorKind, float]:
     sq, idx = b.nearest(a.points)
     out = {ErrorKind.PO2PO: _mean(sq)}
+    del sq  # only its mean is read: freed before the matched-row pass
     if po2pl:
         out[ErrorKind.PO2PL] = _mean(b.plane_errors(a.points, idx))
     return out

@@ -195,11 +195,41 @@ def _renormalize(normals: np.ndarray) -> np.ndarray:
     return normals / norms[:, None]
 
 
+def _whole_rows(lines: list[str], count: int, cols) -> np.ndarray | None:
+    """The ``cols`` of the first ``count`` lines, parsed by numpy one block at a
+    time, when each of them holds exactly ``len(cols)`` numbers, else None.
+    Without ``usecols`` numpy rejects a row whose width differs from its
+    block's first row, and the block's shape shows a blank line or a first row
+    of another width."""
+    if len(lines) < count:
+        return None
+    data = np.empty((count, len(cols)), dtype=np.float64)
+    for first in range(0, count, _ASCII_BLOCK_ROWS):
+        block = lines[first:min(first + _ASCII_BLOCK_ROWS, count)]
+        if not block[0].strip():  # numpy would warn on a block of blank lines
+            return None
+        try:
+            rows = np.loadtxt(block, ndmin=2, comments=None)
+        except ValueError:
+            return None
+        if rows.shape != (len(block), len(cols)):
+            return None
+        data[first:first + len(block)] = rows[:, cols]
+    return data
+
+
 def _ascii_vertices(lines: list[str], elements, header_lines: int, cols) -> np.ndarray:
     """The wanted vertex columns of an ASCII body, whose non-empty lines are the
     rows of each element in turn.  Vertex rows are parsed by numpy one block at
     a time, wanted columns only.  An error names the first faulty row in file order.
+    When the vertex element is the only one and every column is read, numpy's
+    own width check stands in for a count of every line's tokens, which is
+    made only if numpy rejects the rows.
     """
+    if len(elements) == 1 and len(cols) == len(elements[0].properties):
+        data = _whole_rows(lines, elements[0].count, cols)
+        if data is not None:
+            return data
     widths = np.fromiter(map(len, map(str.split, lines)), dtype=np.intp, count=len(lines))
     row_lines = np.flatnonzero(widths)  # index into lines of each row
     start = 0  # first row of the current element

@@ -387,9 +387,11 @@ def per_value_oracle(data: bytes) -> np.ndarray:
         ),
         VERTEX_THEN_FACE,
         FACE_THEN_VERTEX,
+        ascii_ply(["0 0 1 1.25 2.5 -3.75", "0.6 0.8 0 1e-3 2e3 3", "1 0 0 -0 5e-324 7"],
+                  props=("nx", "ny", "nz", "x", "y", "z")),
     ],
     ids=["special-tokens", "crlf-trailing-blank", "skipped-columns-normals-first",
-         "vertex-then-face", "face-then-vertex"],
+         "vertex-then-face", "face-then-vertex", "every-column-normals-first"],
 )
 def test_block_parse_matches_the_per_line_parser_bit_for_bit(monkeypatch, data, block_rows):
     # the body parser itself: read_ply would reject the non-finite coordinates
@@ -435,6 +437,31 @@ def test_ascii_body_reports_the_first_fault_in_file_order(monkeypatch, data, mat
     with pytest.raises(PlyParseError, match=match) as exc_info:
         read_ply(data)
     assert exc_info.value.line == line
+
+
+VERTEX_ROWS = ["0 0 0", "1 0 0", "0 1 0", "1 1 0", "0 0 1", "1 0 1"]
+
+
+@pytest.mark.parametrize(
+    "rows,message",
+    [
+        (VERTEX_ROWS[:1] + ["1 0"] + VERTEX_ROWS[2:], "expected 3 values for vertex 1, got 2 (line 9)"),
+        (VERTEX_ROWS[:5] + ["1 0"], "expected 3 values for vertex 5, got 2 (line 13)"),
+        # a second block one value too wide throughout: its rows agree with each other
+        (VERTEX_ROWS[:4] + ["0 0 1 2", "1 0 1 2"], "expected 3 values for vertex 4, got 4 (line 12)"),
+        (VERTEX_ROWS[:1] + ["1 x 0"] + VERTEX_ROWS[2:5] + ["1 0"], "non-numeric value 'x' in vertex 1 (line 9)"),
+        # a blank line: rows and lines part ways
+        (VERTEX_ROWS[:1] + [""] + VERTEX_ROWS[1:5] + ["1 0"], "expected 3 values for vertex 5, got 2 (line 14)"),
+    ],
+    ids=["short-row-in-first-block", "short-row-past-first-block", "wide-second-block",
+         "value-before-width", "blank-line-then-short-row"],
+)
+def test_vertex_only_body_names_the_first_fault_in_any_block(monkeypatch, rows, message):
+    # every column of the only element is read, so numpy checks the widths
+    monkeypatch.setattr(ply, "_ASCII_BLOCK_ROWS", 4)
+    with pytest.raises(PlyParseError) as exc_info:
+        read_ply(ascii_ply(rows, count=6))
+    assert str(exc_info.value) == message
 
 
 @pytest.mark.parametrize("block_rows", [100, ply._ASCII_BLOCK_ROWS])

@@ -377,3 +377,31 @@ def test_po2pl_error_makes_no_per_point_vector_array(monkeypatch):
     assert n > 50_000
     per_row = 3 * n * 8  # squared distances, matched rows and po2pl errors
     assert peak < per_row + 3 * n * 8  # one (N, 3) float64 array would fill the margin
+
+
+def test_matched_row_pass_holds_no_per_point_array_beyond_its_own(monkeypatch):
+    # the reference's normals are kept and the degraded cloud has none, so the
+    # traced call runs one matched-row pass; the po2po distances are freed by then
+    ref = voxelized_sphere(n=150_000, radius=60.0, bit_depth=8)
+    deg = gaussian_jitter(ref, 0.4, seed=1)
+    monkeypatch.setattr(pcqa.metrics, "BLOCK_ROWS", 256)
+    variant = [(ErrorKind.PO2PL, PeakSpec.largest_diagonal())]
+    want = score_variants(ref, fresh(deg), variant)  # ref keeps its tree and normals
+    prepared = PreparedCloud(deg)
+    distinct = len(np.unique(prepared.nearest(ref.points)[1]))  # builds and keeps deg's tree
+    assert 0 < distinct < len(deg)
+    tracemalloc.start()
+    try:
+        got = score_variants(ref, deg, variant)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    n = len(ref)
+    assert n > 50_000
+    block = 256 * (10 + 1) * 8 * 8  # eight (B, k+1) float64 arrays
+    assert block < n * 8  # less room than one more per-point float array
+    assert peak < (2 * n * 8  # matched indices and the po2pl errors
+                   + len(deg)  # the matched mask
+                   + distinct * (8 + 3 * 8 + 1)  # distinct, their normals and degenerate mask
+                   + block)

@@ -2,7 +2,10 @@
 
 import json
 import math
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import scipy.spatial
@@ -280,3 +283,30 @@ def test_scores_depend_on_the_point_sets_only(n_a, n_b, seed, order_seed):
         return repr([result.to_dict() for result in results])
 
     assert scores(a[perm_a], b[perm_b]) == scores(a, b)
+
+
+FAILING_PROPERTY = """
+from hypothesis import given, strategies as st
+
+@given(st.integers())
+def test_property(x):
+    assert x < 0
+
+def test_plain():
+    pass
+"""
+
+
+def test_a_failing_property_is_one_failure_under_the_repository_settings(tmp_path):
+    # every warning is an error there, yet Hypothesis's own report of a
+    # failure must not abort the run before the next test
+    (tmp_path / "test_failing.py").write_text(FAILING_PROPERTY)
+    settings_file = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(settings_file), "--rootdir", str(tmp_path),
+         "-p", "no:cacheprovider", "-rA", "test_failing.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 1, proc.stdout + proc.stderr  # 3 is an internal error
+    assert "INTERNALERROR" not in proc.stdout + proc.stderr
+    assert "PASSED test_failing.py::test_plain" in proc.stdout
+    assert "1 failed, 1 passed" in proc.stdout
