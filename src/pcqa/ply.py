@@ -326,14 +326,15 @@ def write_ply(cloud: PointCloud, dest, format: str = BINARY_LE) -> None:
     Binary little-endian output round-trips coordinates bit-exactly; ASCII
     uses shortest round-trip decimal formatting, which is also exact for
     float64.  Normals are written when present; bit depth is not stored
-    (PLY has no standard slot for it).
+    (PLY has no standard slot for it).  An unknown ``format`` is rejected
+    before ``dest`` is opened, so an existing file is left as it was.
     """
+    if format not in (ASCII, BINARY_LE):
+        raise ValueError(f"format must be {ASCII!r} or {BINARY_LE!r}, got {format!r}")
     if isinstance(dest, (str, os.PathLike)):
         with open(dest, "wb") as fh:
             write_ply(cloud, fh, format=format)
             return
-    if format not in (ASCII, BINARY_LE):
-        raise ValueError(f"format must be {ASCII!r} or {BINARY_LE!r}, got {format!r}")
 
     names = ["x", "y", "z"]
     columns = [cloud.points]

@@ -115,3 +115,13 @@ def mse_brute(a, b, kind="po2po", b_normals=None) -> float:
     e = a - b[idx]
     proj = (e * np.asarray(b_normals, dtype=np.float64)[idx]).sum(axis=1)
     return float((proj * proj).mean())
+
+
+def octree_quantize_unique(points, bits_dropped) -> np.ndarray:
+    """Coordinates floored to multiples of 2**bits_dropped, with the first
+    occurrence of each cell kept in input order, found by ``np.unique``'s
+    stable row sort (``axis=0``) rather than by a sort of the columns."""
+    step = float(2**bits_dropped)
+    snapped = np.floor(np.asarray(points, dtype=np.float64) / step) * step
+    _, first = np.unique(snapped, axis=0, return_index=True)
+    return snapped[np.sort(first)]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pcqa import PointCloud, estimate_normals, gaussian_jitter, octree_quantize
+from oracles import octree_quantize_unique
 from shapes import integer_grid, random_voxel_cloud
 
 
@@ -74,6 +75,11 @@ def test_quantize_validates_bits_dropped():
         octree_quantize(cloud, 0)
     with pytest.raises(ValueError, match="bits_dropped"):
         octree_quantize(cloud, 3)  # would erase the whole depth
+    for bits in (1.5, 2.5):  # the rule a bit depth follows: integral values only
+        with pytest.raises(ValueError, match=f"bits_dropped must be in \\[1, 2\\] for a 3-bit cloud, got {bits}"):
+            octree_quantize(cloud, bits)
+    for bits in (1.0, np.int64(1)):
+        assert octree_quantize(cloud, bits).points.tobytes() == octree_quantize(cloud, 1).points.tobytes()
 
 
 def test_quantize_infers_missing_bit_depth():
@@ -102,3 +108,48 @@ def test_quantize_displacement_is_bounded(rng):
 
         _, d = nn_brute(cloud.points, out.points)
         assert d.max() < step * np.sqrt(3.0)
+
+
+def _assert_matches_unique_oracle(points, bit_depth, bits):
+    out = octree_quantize(PointCloud(points, bit_depth=bit_depth), bits)
+    expected = octree_quantize_unique(points, bits)
+    assert out.points.tobytes() == expected.tobytes()  # same points, order and signs of zero
+    assert out.bit_depth == bit_depth
+
+
+def test_quantize_matches_the_unique_oracle(rng):
+    for bit_depth in (3, 7, 12):  # integral cells with repeated rows, in two orders
+        base = rng.integers(0, 2**bit_depth, size=(200, 3)).astype(np.float64)
+        points = np.concatenate([base, base[rng.integers(0, len(base), 100)]])
+        for shuffled in (points, points[rng.permutation(len(points))]):
+            for bits in range(1, bit_depth):
+                _assert_matches_unique_oracle(shuffled, bit_depth, bits)
+    for bit_depth in (4, 10):  # non-integral coordinates inside the range
+        points = rng.uniform(0.0, 2.0**bit_depth - 1.0, size=(300, 3))
+        for bits in (1, 2, bit_depth - 1):
+            _assert_matches_unique_oracle(points, bit_depth, bits)
+    _assert_matches_unique_oracle(np.array([[5.0, 6.0, 7.0]]), 3, 2)  # one point
+
+
+def test_quantize_keeps_the_first_of_a_signed_zero_cell():
+    # -0.0 and 0.0 are one cell; the row that comes first is kept, sign and all
+    points = np.array([[-0.0, 1.0, 2.0], [0.0, 1.0, 3.0], [0.0, 4.0, 2.0], [-0.0, 4.0, 3.0]])
+    for rows in (points, points[::-1].copy()):
+        _assert_matches_unique_oracle(rows, 3, 1)
+        out = octree_quantize(PointCloud(rows, bit_depth=3), 1).points
+        assert np.signbit(out[:, 0]).tolist() == [True, False]  # rows 0 and 2 of either order
+
+
+def test_quantize_matches_the_unique_oracle_past_21_bits_per_axis(rng):
+    # more cell bits per axis than a packed 64-bit key could hold, so cells
+    # that differ only in their high bits must stay apart
+    for bit_depth, bits in ((30, 4), (53, 8), (53, 30)):
+        top = 2.0**bit_depth - 2.0**bits
+        centres = np.floor(rng.uniform(0.0, top, size=(60, 3)))
+        spread = rng.integers(0, 2**(bits + 1), size=(240, 3))
+        points = np.minimum(centres[rng.integers(0, 60, 240)] + spread, 2.0**bit_depth - 1.0)
+        high = np.array([[0.0, 0.0, 0.0], [2.0**(bit_depth - 1), 0.0, 0.0], [0.0, 2.0**(bits + 22), 0.0]])
+        points = np.concatenate([points, high])
+        _assert_matches_unique_oracle(points, bit_depth, bits)
+        assert len(octree_quantize(PointCloud(high, bit_depth=bit_depth), bits)) == 3
+

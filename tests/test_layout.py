@@ -234,3 +234,12 @@ def test_every_pcqa_name_the_benchmark_reads_exists():
     assert missing == []
     # bench/counting.wrap_normals patches the kernel through its module attribute
     assert callable(importlib.import_module("pcqa.normals").normal_vectors)
+
+
+def test_no_row_unique_is_left_in_the_package():
+    # np.unique(axis=0) sorts rows as a structured dtype, several times slower
+    # than one lexsort of the columns; octree_quantize dedupes by the latter
+    found = [f"{path.name}:{node.lineno}" for path in MODULES for node, _ in _scoped_nodes(path)
+             if isinstance(node, ast.Call) and _name(node.func) == "unique"
+             and any(keyword.arg == "axis" for keyword in node.keywords)]
+    assert found == []

@@ -155,6 +155,15 @@ def test_write_rejects_unknown_format(tmp_path):
         write_ply(PointCloud([[0.0, 0.0, 0.0]]), tmp_path / "x.ply", format="big-endian")
 
 
+def test_a_rejected_format_leaves_an_existing_file_as_it_was(tmp_path):
+    path = tmp_path / "keep.ply"
+    write_ply(PointCloud([[1.0, 2.0, 3.0]]), path)
+    before = path.read_bytes()
+    with pytest.raises(ValueError, match="format"):
+        write_ply(PointCloud([[4.0, 5.0, 6.0]]), path, format="binary_big_endian")
+    assert path.read_bytes() == before
+
+
 def test_binary_vertices_parse_mixed_property_types():
     header = (
         b"ply\nformat binary_little_endian 1.0\n"
