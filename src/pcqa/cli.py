@@ -27,6 +27,7 @@ import math
 import os
 import sys
 import warnings
+from dataclasses import replace
 
 from .spec import (DEFAULT_ESTIMATOR_K, DEFAULT_NORMAL_K, ErrorKind, PeakKind, PeakSpec, ResolutionEstimator,
                    reads_normals, require_normal_k)
@@ -62,7 +63,7 @@ def _peak_from_flags(peak: str, ra: bool | None, k: int) -> PeakSpec:
     try:
         spec = PeakSpec.parse(peak, k)
         if ra or (ra is None and spec.kind is PeakKind.RENDERING):
-            spec = PeakSpec.parse(f"ra-{peak}", k)
+            spec = replace(spec, density_adaptive=True)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     return spec

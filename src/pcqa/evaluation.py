@@ -15,7 +15,7 @@ import io
 import json
 import os
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -436,11 +436,8 @@ def variant_from_string(text: str, k: int | None = None) -> MetricVariant:
         kind = ErrorKind(parts[0])
     except ValueError:
         raise ValueError(f"metric {text!r}: unknown error kind {parts[0]!r}") from None
-    rest = parts[2:]
-    ra = False
-    if rest and rest[-1] == "ra":
-        ra = True
-        rest = rest[:-1]
+    ra = len(parts) > 2 and parts[-1] == "ra"
+    rest = parts[2:-1] if ra else parts[2:]
     if rest:
         if len(rest) > 1:
             raise ValueError(f"metric {text!r}: too many fields")
@@ -448,9 +445,12 @@ def variant_from_string(text: str, k: int | None = None) -> MetricVariant:
             k = int(rest[0])
         except ValueError:
             raise ValueError(f"metric {text!r}: k {rest[0]!r} is not an integer") from None
-    label = f"ra-{parts[1]}" if ra else parts[1]
     try:
-        peak = PeakSpec.parse(label, k)
+        peak = PeakSpec.parse(parts[1], k)
+        if ra and peak.density_adaptive:
+            raise ValueError(f"peak {parts[1]!r} is density-adaptive already")
+        if ra:
+            peak = replace(peak, density_adaptive=True)
     except ValueError as exc:
         raise ValueError(f"metric {text!r}: {exc}") from None
     if rest and peak.k is None:

@@ -46,12 +46,12 @@ class MetricResult:
     2**b - 1, the reference bounding-box diagonal, or the resolution
     estimate, depending on ``peak``.  Directional dB values are ``inf``
     when the corresponding MSE is zero (identical geometry); serialization
-    turns those into null plus an infinite-quality flag.
+    turns those into null plus an infinite-quality flag.  ``psnr_pooled``
+    is derived from the two directions, so it cannot disagree with them.
     """
 
     psnr_ab: float
     psnr_ba: float
-    psnr_pooled: float
     mse_ab: float
     mse_ba: float
     peak_value: float
@@ -62,6 +62,11 @@ class MetricResult:
     normal_k: int | None = None
     normals_a: str = "unused"  # "file" | "estimated" | "unused"
     normals_b: str = "unused"
+
+    @property
+    def psnr_pooled(self) -> float:
+        """The larger directional dB under "max" pooling, the smaller under "min"."""
+        return (max if self.pooling == "max" else min)(self.psnr_ab, self.psnr_ba)
 
     @property
     def infinite_quality(self) -> bool:
@@ -212,7 +217,7 @@ class PreparedCloud:
         two are None where not asked for, and sums is empty.  No (rows, k)
         array outlives its block; one warning counts the degenerate rows."""
         if normals:
-            require_normal_k(k)
+            k = require_normal_k(k)
         index, points = self.index, self.cloud.points  # the index rejects an empty cloud
         rows = np.arange(len(points)) if rows is None else rows
         n = len(rows)
@@ -424,10 +429,6 @@ def _db(numerator: float, mse: float) -> float:
     return 10.0 * math.log10(numerator / mse)
 
 
-def _pool(psnr_ab: float, psnr_ba: float, pooling: str) -> float:
-    return max(psnr_ab, psnr_ba) if pooling == "max" else min(psnr_ab, psnr_ba)
-
-
 def _normals_source(cloud: PointCloud, used: bool) -> str:
     return ("file" if cloud.has_normals else "estimated") if used else "unused"
 
@@ -463,13 +464,11 @@ def score_variants(
         peak_value, numerator = peaks[peak]
         normals_a = _normals_source(a, reads_normals(kind, peak))
         normals_b = _normals_source(b, kind is ErrorKind.PO2PL)
-        psnr_ab = _db(numerator, mse_ab[kind])
-        psnr_ba = _db(numerator, mse_ba[kind])
         results.append(MetricResult(
-            psnr_ab=psnr_ab, psnr_ba=psnr_ba, psnr_pooled=_pool(psnr_ab, psnr_ba, pooling),
+            psnr_ab=_db(numerator, mse_ab[kind]), psnr_ba=_db(numerator, mse_ba[kind]),
             mse_ab=mse_ab[kind], mse_ba=mse_ba[kind], peak_value=peak_value,
             error_kind=kind, peak=peak, pooling=pooling, bit_depth=a.bit_depth,
-            normal_k=normal_k if "estimated" in (normals_a, normals_b) else None,
+            normal_k=require_normal_k(normal_k) if "estimated" in (normals_a, normals_b) else None,
             normals_a=normals_a, normals_b=normals_b,
         ))
     return results
@@ -503,9 +502,6 @@ def psnr(
     return score_variants(a, b, [variant], pooling=pooling, normal_k=normal_k)[0]
 
 
-_RA_ESTIMATORS = (ResolutionEstimator.ANN, ResolutionEstimator.ANN_K, ResolutionEstimator.APD_K)
-
-
 def ra_psnr(
     a: PointCloud,
     b: PointCloud,
@@ -517,20 +513,16 @@ def ra_psnr(
     normal_k: int = DEFAULT_NORMAL_K,
     via_density_coefficient: bool = False,
 ) -> MetricResult:
-    """Resolution-adaptive PSNR: convenience wrapper over ``psnr``.
-
-    ``estimator`` picks the resolution feeding the peak (ANN, ANN_K or
-    APD_K).  The default evaluation computes 10*log10(3*r*p_c / MSE);
+    """Resolution-adaptive PSNR: ``psnr`` on the density-adaptive peak of
+    ``estimator``, which may be any estimator that ``PeakSpec`` takes (MNN,
+    ANN, ANN_K or APD_K), with ``k`` as ``ResolutionEstimator.read_k`` reads
+    it.  The default evaluation computes 10*log10(3*r*p_c / MSE);
     ``via_density_coefficient`` instead scales the MSE by the density
     coefficient p_c / r under a 3*p_c**2 numerator.  The two forms are
-    algebraically identical and agree to floating-point rounding.
-    """
-    if estimator not in _RA_ESTIMATORS:
-        raise ValueError(
-            f"RA-PSNR estimator must be one of {[e.value for e in _RA_ESTIMATORS]}; "
-            "for MNN build a PeakSpec directly"
-        )
-    peak = PeakSpec.parse(f"ra-{estimator.value}", k)
+    algebraically identical and agree to floating-point rounding."""
+    if not isinstance(estimator, ResolutionEstimator):
+        raise ValueError(f"RA-PSNR needs a ResolutionEstimator, got {estimator!r}")
+    peak = PeakSpec(estimator.peak_kind, estimator, estimator.read_k(k), density_adaptive=True)
     result = psnr(a, b, kind, peak, pooling=pooling, normal_k=normal_k)
     if not via_density_coefficient:
         return result
@@ -538,11 +530,5 @@ def ra_psnr(
     p_c = precision_peak(result.bit_depth)
     mu = density_coefficient(result.bit_depth, result.peak_value)
     numerator = 3.0 * p_c * p_c
-    psnr_ab = _db(numerator, mu * result.mse_ab)
-    psnr_ba = _db(numerator, mu * result.mse_ba)
-    return replace(
-        result,
-        psnr_ab=psnr_ab,
-        psnr_ba=psnr_ba,
-        psnr_pooled=_pool(psnr_ab, psnr_ba, pooling),
-    )
+    return replace(result, psnr_ab=_db(numerator, mu * result.mse_ab),
+                   psnr_ba=_db(numerator, mu * result.mse_ba))

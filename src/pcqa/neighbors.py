@@ -5,8 +5,8 @@ is built, so importing this module loads numpy only.  All queries are exact, so
 results match an exhaustive scan up to the ordering of equidistant
 neighbors.  Every lookup is one batch query on the cloud's one tree, and it
 keeps ``cKDTree``'s pick among equidistant points; a documented tie rule is
-still open.  This class holds the only size checks of a kNN query: k
-against the cloud's size, and the empty cloud.
+still open.  This class holds the only size checks of a kNN query: k an
+integer within the cloud's size, and the empty cloud.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import os
 import numpy as np
 
 from .cloud import PointCloud
+from .spec import integer_k
 
 
 def _workers() -> int:
@@ -45,6 +46,7 @@ class NeighborIndex:
     def query(self, q, k: int = 1) -> tuple[np.ndarray, np.ndarray]:
         """Indices and distances of the k points nearest to ``q`` (ascending);
         ``q`` is one point or an (M, 3) array of them."""
+        k = integer_k(k, "a kNN query")
         if not 1 <= k <= len(self):
             raise ValueError(f"k must be in [1, {len(self)}], got {k}")
         dists, idx = self._tree.query(np.asarray(q, dtype=np.float64), k=k, workers=_workers())
@@ -61,6 +63,7 @@ class NeighborIndex:
         queried with it.
         """
         n = len(self)
+        k = integer_k(k, "a self-excluded query")
         if k < 1:
             raise ValueError(f"self-excluded queries need k >= 1, got {k}")
         if n < k + 1:

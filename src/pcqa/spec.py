@@ -38,15 +38,11 @@ class ResolutionEstimator(Enum):
 
     def read_k(self, k: int | None) -> int | None:
         """The neighborhood size this estimator reads when passed ``k``.
-        ANN_K and APD_K read ``k``, ``DEFAULT_ESTIMATOR_K`` when it is None,
-        and need it to be at least 1; MNN and ANN read none and ignore ``k``."""
+        ANN_K and APD_K read ``k``, ``DEFAULT_ESTIMATOR_K`` when it is None, and
+        need an integer k >= 1; MNN and ANN read none and ignore ``k``."""
         if self in (ResolutionEstimator.MNN, ResolutionEstimator.ANN):
             return None
-        if k is None:
-            return DEFAULT_ESTIMATOR_K
-        if k < 1:
-            raise ValueError(f"estimator {self.value} needs k >= 1, got {k}")
-        return k
+        return DEFAULT_ESTIMATOR_K if k is None else integer_k(k, f"estimator {self.value}", 1)
 
     @property
     def peak_kind(self) -> PeakKind:
@@ -54,10 +50,24 @@ class ResolutionEstimator(Enum):
         return PeakKind.RENDERING if self is ResolutionEstimator.APD_K else PeakKind.INTRINSIC
 
 
-def require_normal_k(k: int) -> None:
-    """The normal estimator's rule on its neighborhood size: a plane fit needs k >= 3."""
-    if k < 3:
-        raise ValueError(f"normal estimation needs k >= 3, got {k}")
+def integer_k(k, reader: str, least: int | None = None) -> int:
+    """``k`` as an ``int`` if it equals one (4.0 and np.int64(4) do; 2.5, nan and "4"
+    do not, as for a bit depth), and not below ``least``; ``reader`` names who asks."""
+    try:
+        whole = int(k)
+    except (TypeError, ValueError, OverflowError):
+        whole = None
+    if whole is None or whole != k:
+        raise ValueError(f"{reader} needs an integer k, got {k}")
+    if least is not None and whole < least:
+        raise ValueError(f"{reader} needs k >= {least}, got {whole}")
+    return whole
+
+
+def require_normal_k(k: int) -> int:
+    """The normal estimator's rule on its neighborhood size, returned as an
+    ``int``: a plane fit needs an integer k >= 3."""
+    return integer_k(k, "normal estimation", 3)
 
 
 @dataclass(frozen=True)
@@ -83,9 +93,10 @@ class PeakSpec:
             return
         if self.estimator is None or self.estimator.peak_kind is not self.kind:
             raise ValueError(f"{self.kind.value} peak cannot use estimator {self.estimator}")
-        if self.estimator.read_k(self.k) != self.k:  # the spec holds the k that is read
-            raise ValueError(f"estimator {self.estimator.value} reads k="
-                             f"{self.estimator.read_k(self.k)}, got {self.k}")
+        k = self.estimator.read_k(self.k)
+        if k != self.k:  # the spec holds the k that is read
+            raise ValueError(f"estimator {self.estimator.value} reads k={k}, got {self.k}")
+        object.__setattr__(self, "k", k)  # an int, also when given as 4.0
 
     @classmethod
     def precision(cls) -> "PeakSpec":
@@ -122,8 +133,7 @@ class PeakSpec:
     @classmethod
     def parse(cls, label: str, k: int | None = None) -> "PeakSpec":
         """Inverse of ``label``; ``k`` as ``ResolutionEstimator.read_k`` reads it."""
-        ra = label.startswith("ra-")
-        base = label[3:] if ra else label
+        base = label.removeprefix("ra-")
         if base in (PeakKind.PRECISION.value, PeakKind.LARGEST_DIAGONAL.value):
             spec = cls(PeakKind(base))
         else:
@@ -132,9 +142,7 @@ class PeakSpec:
             except ValueError:
                 raise ValueError(f"unknown peak {label!r}") from None
             spec = cls(est.peak_kind, est, est.read_k(k))
-        if ra:
-            spec = replace(spec, density_adaptive=True)
-        return spec
+        return replace(spec, density_adaptive=base != label)
 
 
 def reads_normals(kind: ErrorKind, peak: PeakSpec) -> bool:

@@ -4,7 +4,8 @@ only, the resolution estimators are spelled in ``spec`` only, each
 command applies the ``--bitdepth`` rule in one call that no flag guards,
 ``pcqa.__all__`` lists each exported name once, every one of them defined,
 every mean over points in ``metrics`` is taken by ``_mean``, the
-benchmark's group-size rule is read by ``fit_regression`` only, and the
+benchmark's group-size rule is read by ``fit_regression`` only, the
+density-adaptive ``ra-`` prefix is spelled in ``spec`` only, and the
 unit-normal tolerance, a bit depth's coercion and a variant's spelling are
 each stated once.  Every resolution value is written by one statement, and
 every pcqa name that the benchmark scripts read exists."""
@@ -146,6 +147,30 @@ def test_estimator_names_are_spelled_in_spec_only():
                 continue
             found += [f"{path.name}:{node.lineno} spells {node.value!r}" for node in ast.walk(stmt)
                       if isinstance(node, ast.Constant) and node.value in names]
+    assert found == []
+
+
+def _docstrings(tree) -> set[int]:
+    """ids of the docstring constants of a module and of its classes and functions."""
+    return {id(body[0].value) for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+            and (body := node.body) and isinstance(body[0], ast.Expr)
+            and isinstance(body[0].value, ast.Constant) and isinstance(body[0].value.value, str)}
+
+
+def test_the_density_adaptive_prefix_is_spelled_in_spec_only():
+    # PeakSpec.label writes "ra-" and PeakSpec.parse reads it; every other
+    # module sets density_adaptive on a parsed spec instead of composing a
+    # label to parse back; the first piece of an f-string is a constant too
+    found = []
+    for path in MODULES:
+        if path.name == "spec.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        docstrings = _docstrings(tree)
+        found += [f"{path.name}:{node.lineno} spells {node.value!r}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and node.value.startswith("ra-") and id(node) not in docstrings]
     assert found == []
 
 

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -413,10 +414,48 @@ def test_ra_psnr_two_evaluation_routes_agree(rng):
     scaled = ra_psnr(ref, deg, ErrorKind.PO2PO, ResolutionEstimator.APD_K, k=6,
                      via_density_coefficient=True)
     assert scaled.psnr_pooled == pytest.approx(direct.psnr_pooled, abs=1e-12)
+    assert scaled.psnr_pooled == max(scaled.psnr_ab, scaled.psnr_ba)  # pooled from the new directions
     assert scaled.mse_ab == direct.mse_ab  # the raw MSE is reported unscaled
 
 
-def test_ra_psnr_rejects_mnn(rng):
+def test_ra_psnr_takes_every_estimator_a_peak_spec_takes(rng):
+    # MNN included: ra_psnr is psnr on the density-adaptive peak, with no list of its own
     ref = random_voxel_cloud(rng, n=100, bit_depth=6)
-    with pytest.raises(ValueError, match="mnn|MNN"):
-        ra_psnr(ref, ref, ErrorKind.PO2PO, ResolutionEstimator.MNN)
+    deg = PointCloud(ref.points + rng.normal(0.0, 0.3, size=ref.points.shape))
+    for estimator in ResolutionEstimator:
+        want = psnr(ref, deg, ErrorKind.PO2PO, PeakSpec.parse(f"ra-{estimator.value}")).to_dict()
+        assert ra_psnr(ref, deg, ErrorKind.PO2PO, estimator).to_dict() == want
+    with pytest.raises(ValueError, match="ResolutionEstimator"):
+        ra_psnr(ref, deg, estimator="ann")
+
+
+# ------------------------------------------------------ neighborhood sizes
+
+
+def test_a_non_integral_neighborhood_size_is_rejected(rng):
+    cloud = random_voxel_cloud(rng, n=100, bit_depth=6)
+    deg = PointCloud(cloud.points + 0.25)
+    for call in (lambda: ann_k(cloud, 2.5),
+                 lambda: resolution(cloud, ResolutionEstimator.ANN_K, np.float64(2.5)),
+                 lambda: apd_k(cloud, 4, normal_k=3.5),
+                 lambda: psnr(cloud, deg, ErrorKind.PO2PL, PeakSpec.largest_diagonal(), normal_k=3.5),
+                 lambda: PeakSpec.intrinsic(ResolutionEstimator.ANN_K, 2.5),
+                 lambda: PeakSpec.rendering(float("nan"))):
+        with pytest.raises(ValueError, match="needs an integer k, got"):
+            call()
+
+
+def test_a_neighborhood_size_equal_to_an_integer_reads_as_that_integer(rng):
+    points = random_voxel_cloud(rng, n=150, bit_depth=6).points
+    deg_points = points + rng.normal(0.0, 0.3, size=points.shape)
+
+    def scores(k):  # new clouds each time, so nothing memoized answers for another k
+        cloud = PointCloud(points, bit_depth=6)
+        return (repr(ann_k(PointCloud(points), k)), repr(apd_k(PointCloud(points), k, normal_k=k)),
+                json.dumps(psnr(cloud, PointCloud(deg_points), ErrorKind.PO2PL,
+                                PeakSpec.intrinsic(ResolutionEstimator.ANN_K, k), normal_k=k).to_dict()))
+
+    assert scores(4.0) == scores(np.int64(4)) == scores(np.float64(4.0)) == scores(4)
+    for k in (4.0, np.int64(4)):
+        assert type(PeakSpec.intrinsic(ResolutionEstimator.ANN_K, k).k) is int
+        assert type(PeakSpec(PeakKind.RENDERING, ResolutionEstimator.APD_K, k).k) is int

@@ -24,6 +24,9 @@ def test_query_k_bounds():
         index.query([0.0, 0.0, 0.0], k=0)
     with pytest.raises(ValueError):
         index.query([0.0, 0.0, 0.0], k=3)
+    for k in (1.5, np.float64(1.5), "1"):  # checked before the bounds, like a bit depth
+        with pytest.raises(ValueError, match="^a kNN query needs an integer k, got"):
+            index.query([0.0, 0.0, 0.0], k=k)
 
 
 def test_query_matches_brute_force(rng):
@@ -86,6 +89,17 @@ def test_self_excluded_neighbors_k_bounds():
         index.self_excluded_neighbors(0)
     with pytest.raises(ValueError):
         index.self_excluded_neighbors(4)  # needs k + 1 <= n
+    for k in (1.5, np.float64(1.5), "1"):
+        with pytest.raises(ValueError, match="^a self-excluded query needs an integer k, got"):
+            index.self_excluded_neighbors(k)
+
+
+def test_a_k_equal_to_an_integer_reads_as_that_integer():
+    index = NeighborIndex(integer_grid(3))
+    for k in (4.0, np.int64(4)):
+        for got, want in ((index.query([0.5, 1.0, 1.0], k), index.query([0.5, 1.0, 1.0], 4)),
+                          (index.self_excluded_neighbors(k), index.self_excluded_neighbors(4))):
+            assert all(np.array_equal(g, w) and g.dtype == w.dtype for g, w in zip(got, want))
 
 
 def test_grid_centre_row_sits_one_spacing_away():

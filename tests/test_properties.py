@@ -30,6 +30,7 @@ from pcqa import (
 )
 from pcqa.evaluation import full_variant_matrix, plcc, srocc, variant_from_string
 from pcqa.metrics import score_variants
+from shapes import voxelized_sphere
 
 finite_coord = st.floats(-100.0, 100.0, allow_nan=False, allow_infinity=False, width=64)
 point3 = st.tuples(finite_coord, finite_coord, finite_coord)
@@ -201,7 +202,6 @@ def metric_results(draw):
     return MetricResult(
         psnr_ab=draw(db),
         psnr_ba=draw(db),
-        psnr_pooled=draw(db),
         mse_ab=draw(st.floats(0.0, 1e12, allow_nan=False)),
         mse_ba=draw(st.floats(0.0, 1e12, allow_nan=False)),
         peak_value=draw(st.floats(1e-9, 1e9, allow_nan=False)),
@@ -283,6 +283,29 @@ def test_scores_depend_on_the_point_sets_only(n_a, n_b, seed, order_seed):
         return repr([result.to_dict() for result in results])
 
     assert scores(a[perm_a], b[perm_b]) == scores(a, b)
+
+
+# the po2po variants whose peak reads sorted distances only; po2pl and the
+# APD_k peak read the matched point and the k-cut, where ties fall by point order
+DISTANCE_ONLY = ["po2po:precision", "po2po:ld", "po2po:mnn", "po2po:ann", "po2po:annk:10",
+                 "po2po:ann:ra", "po2po:annk:10:ra"]
+
+
+def test_distance_only_scores_on_voxel_content_depend_on_the_point_sets_only():
+    # voxel content, where equal distances are everywhere: a sphere and its octree
+    ref = voxelized_sphere(n=3000, radius=40.0, bit_depth=7)
+    deg = octree_quantize(ref, 1)
+    variants = [variant_from_string(text) for text in DISTANCE_ONLY]
+
+    def scores(perm_a, perm_b):  # new clouds, so nothing memoized answers for another order
+        results = score_variants(PointCloud(ref.points[perm_a], bit_depth=7),
+                                 PointCloud(deg.points[perm_b], bit_depth=7), variants)
+        return repr([result.to_dict() for result in results])
+
+    order = np.random.default_rng(5)
+    want = scores(np.arange(len(ref)), np.arange(len(deg)))
+    for _ in range(3):
+        assert scores(order.permutation(len(ref)), order.permutation(len(deg))) == want
 
 
 FAILING_PROPERTY = """
